@@ -8,20 +8,10 @@ for both algorithms.  The CLI equivalent with the full replicate count:
 """
 
 import cause_sieve as cs
-from cause_sieve import seeding
 
-reps, n, seed = 5, 500, 42
+rows, summary = cs.bench_replicates(cs.gen_benchmark1, cs.FunctionClass("additive"), 5, n=500, seed=42)
+for rep, (truth, isd_est, score_est) in enumerate(rows):
+    print(f"rep {rep}: truth={truth} isd={isd_est} score={score_est}")
 
-rows = []
-for rep in range(reps):
-    gd = cs.gen_benchmark1(seeding.child_seed(seed, seeding.REPLICATE, rep), n)
-    cfg = cs.DiscoveryConfig(seed=seeding.child_seed(seed, seeding.BOOT, rep))
-    result = cs.analyze(gd.data, cs.FunctionClass("additive"), cfg, mode="both")
-    rows.append((gd.true_pa, result.isd_estimate, tuple(result.score_estimate.members)))
-    print(f"rep {rep}: truth={gd.true_pa} isd={rows[-1][1]} score={rows[-1][2]}")
-
-for name, idx in (("isd", 1), ("score", 2)):
-    per_rep = [cs.metrics(r[0], [r[idx]]) for r in rows]
-    correct = sum(m[0] for m in per_rep) / reps
-    nfp = sum(m[1] for m in per_rep) / reps
+for name, (correct, nfp) in summary.items():
     print(f"{name:<6} correct causes {correct:.0f}% / no false positives {nfp:.0f}%")

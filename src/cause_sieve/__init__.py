@@ -10,6 +10,7 @@ from .discover import (
     PlausibilityVerdict,
     ScoreRow,
     analyze,
+    bench_replicates,
     check_plausibility,
     empty_parent_test,
     isd,
@@ -26,20 +27,14 @@ from .model import (
     DiscoveryConfig,
     FunctionClass,
     NoiseRecovery,
+    SmootherConfig,
     enumerate_candidates,
     load_csv,
     pit_rescale,
     validate_dataset,
     write_csv,
 )
-from .regress import (
-    SmootherConfig,
-    fit_additive,
-    fit_cpcm,
-    fit_linear,
-    fit_location_scale,
-    recover_noise,
-)
+from .regress import fit_additive, fit_cpcm, fit_linear, fit_location_scale, recover_noise
 from .stattests import (
     TestResult,
     ad_uniform_test,
@@ -88,6 +83,7 @@ __all__ = [
     "ValidationError",
     "ad_uniform_test",
     "analyze",
+    "bench_replicates",
     "check_cool_lemma",
     "check_dist_equality",
     "check_gamma_support_exception",

@@ -21,18 +21,10 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from . import seeding, verify
-from .discover import DiscoveryConfig, analyze, metrics, save_result
-from .errors import DomainViolation, StatError, ValidationError
+from .discover import DiscoveryConfig, analyze, bench_replicates, replicate, save_result
+from .errors import StatError, ValidationError
 from .model import FunctionClass, load_csv
-from .synth import (
-    GENERATORS,
-    gen_additive_grid,
-    gen_benchmark1,
-    gen_benchmark2,
-    gen_benchmark3,
-    gen_linear_chain,
-    write_generated,
-)
+from .synth import GENERATORS, gen_additive_grid, gen_linear_chain, write_generated
 
 SEED_ENV_VAR = "CAUSE_SIEVE_SEED"
 
@@ -118,20 +110,13 @@ def _seed_of(args) -> int:
     return args.seed if args.seed is not None else _default_seed()
 
 
-def _parse_class(text: str) -> FunctionClass:
-    return FunctionClass.parse(text)
-
-
 def cmd_discover(args) -> int:
     seed = _seed_of(args)
-    f_class = _parse_class(args.f_class)
+    f_class = FunctionClass.parse(args.f_class)
     data = load_csv(args.csv, args.target)
     # a support violation of the target makes every candidate unfittable,
     # so fail the whole run instead of reporting a vacuous empty search
-    if f_class.family == "pareto" and float(np.min(data.y)) < 1.0:
-        raise DomainViolation(f"Pareto family requires Y >= 1, found min {np.min(data.y)}")
-    if f_class.family == "gamma" and float(np.min(data.y)) <= 0.0:
-        raise DomainViolation(f"Gamma family requires Y > 0, found min {np.min(data.y)}")
+    f_class.check_support(data.y)
     cfg = DiscoveryConfig(alpha=args.alpha, seed=seed)
     result = analyze(data, f_class, cfg, mode=args.mode)
     save_result(result, args.out)
@@ -148,20 +133,8 @@ def cmd_discover(args) -> int:
     return 0
 
 
-_BENCH = {
-    "1": (gen_benchmark1, "additive"),
-    "2": (gen_benchmark2, "additive"),
-    "3": (gen_benchmark3, "cpcm:pareto"),
-}
-
-
-def bench_replicate(benchmark: str, rep: int, *, n: int, seed: int, f_class_label: str):
-    """One replicate: generate, run both algorithms, return (truth, isd, score)."""
-    generator, _ = _BENCH[benchmark]
-    gd = generator(seeding.child_seed(seed, seeding.REPLICATE, rep), n)
-    cfg = DiscoveryConfig(seed=seeding.child_seed(seed, seeding.BOOT, rep))
-    result = analyze(gd.data, FunctionClass.parse(f_class_label), cfg, mode="both")
-    return gd.true_pa, result.isd_estimate, tuple(result.score_estimate.members)
+# default class of each benchmark; its generator is GENERATORS["benchmark<k>"]
+_BENCH = {"1": "additive", "2": "additive", "3": "cpcm:pareto"}
 
 
 def _run_replicates(fn, reps: int, jobs: int):
@@ -179,28 +152,25 @@ def cmd_bench(args) -> int:
     if args.benchmark not in _BENCH:
         raise ValidationError(f"unknown benchmark {args.benchmark!r}; expected 1, 2, or 3")
     seed = _seed_of(args)
-    _, default_class = _BENCH[args.benchmark]
-    f_class_label = args.f_class or default_class
-
-    runner = partial(bench_replicate, args.benchmark, n=args.n, seed=seed, f_class_label=f_class_label)
-    rows = _run_replicates(runner, args.reps, args.jobs)
-
-    summary = []
-    for algorithm, idx in (("isd", 1), ("score", 2)):
-        per_rep = [metrics(r[0], [r[idx]]) for r in rows]
-        correct = float(np.mean([m[0] for m in per_rep]))
-        nfp = float(np.mean([m[1] for m in per_rep]))
-        summary.append((algorithm, correct, nfp))
+    f_class_label = args.f_class or _BENCH[args.benchmark]
+    _, summary = bench_replicates(
+        GENERATORS[f"benchmark{args.benchmark}"],
+        FunctionClass.parse(f_class_label),
+        args.reps,
+        n=args.n,
+        seed=seed,
+        run=partial(_run_replicates, jobs=args.jobs),
+    )
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["algorithm", "benchmark", "reps", "n", "class", "correct_causes_pct", "no_false_positives_pct"])
-        for algorithm, correct, nfp in summary:
+        for algorithm, (correct, nfp) in summary.items():
             writer.writerow([algorithm, args.benchmark, args.reps, args.n, f_class_label, repr(correct), repr(nfp)])
 
     print(f"benchmark {args.benchmark} ({args.reps} reps, n={args.n}, class={f_class_label})")
     print(f"{'algorithm':<10} correct% / no-false-positive%")
-    for algorithm, correct, nfp in summary:
+    for algorithm, (correct, nfp) in summary.items():
         print(f"{algorithm:<10} {correct:.0f}% / {nfp:.0f}%")
     print(f"table written to {args.out}")
     return 0
@@ -218,10 +188,9 @@ def _parse_range(token: str, name: str) -> tuple[float, float]:
 
 def simulate_cell(c: float, gamma: float, rep: int, n: int, seed: int) -> int:
     """Number of true parents recovered by the additive sieve on one draw."""
-    gd = gen_additive_grid(seeding.child_seed(seed, seeding.REPLICATE, rep), n, c, gamma)
-    cfg = DiscoveryConfig(seed=seeding.child_seed(seed, seeding.BOOT, rep))
-    est = analyze(gd.data, FunctionClass("additive"), cfg, mode="isd").isd_estimate
-    return len(set(est) & set(gd.true_pa))
+    generator = partial(gen_additive_grid, c=c, gamma=gamma)
+    true_pa, est, _ = replicate(generator, FunctionClass("additive"), rep, n=n, seed=seed, mode="isd")
+    return len(set(est) & set(true_pa))
 
 
 def _simulate_chunk(idx: int, *, cells, reps: int, n: int, seed: int):

@@ -10,6 +10,7 @@ ranks every candidate by log-p-value terms and returns the argmax.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -25,7 +26,7 @@ from .model import (
     FunctionClass,
     enumerate_candidates,
 )
-from .regress import SmootherConfig, recover_noise
+from .regress import SMOOTHER_DIM_CAP, recover_noise
 from .stattests import LOG_P_FLOOR, TestResult, ad_uniform_test, hsic_test
 
 NEG_INF = float("-inf")
@@ -59,7 +60,6 @@ class ScoreRow:
 class DiscoveryResult:
     function_class: FunctionClass
     config: DiscoveryConfig
-    seed: int
     isd_estimate: tuple[int, ...] | None = None
     plausible_sets: list[CandidateSet] | None = None
     verdicts: list[PlausibilityVerdict] | None = field(default=None, repr=False)
@@ -79,13 +79,12 @@ class _CandidateEvaluation:
 def _evaluate_candidate(
     data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig
 ) -> _CandidateEvaluation:
-    smoother = cfg.smoother if isinstance(cfg.smoother, SmootherConfig) else SmootherConfig()
     try:
         recovery = recover_noise(
             data,
             s,
             f_class,
-            smoother,
+            cfg.smoother,
             n_perm=cfg.significance_permutations,
             seed=seeding.child_seed(cfg.seed, f_class.code),
         )
@@ -186,6 +185,11 @@ def analyze(
         raise BadParam(f"unknown mode {mode!r}")
     if data.p > cfg.max_p:
         raise TooManyCovariates(f"p={data.p} exceeds max_p={cfg.max_p}")
+    if f_class.kind != "linear" and data.p > SMOOTHER_DIM_CAP:
+        # the full set could never be fitted; fail before any candidate is
+        raise TooManyCovariates(
+            f"p={data.p} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP} for the {f_class.label} class"
+        )
 
     evaluations = [
         _evaluate_candidate(data, s, f_class, cfg)
@@ -215,7 +219,6 @@ def analyze(
     return DiscoveryResult(
         function_class=f_class,
         config=cfg,
-        seed=cfg.seed,
         isd_estimate=isd_estimate,
         plausible_sets=plausible_sets,
         verdicts=verdicts,
@@ -247,25 +250,20 @@ def empty_parent_test(data: Dataset, family: str, cfg: DiscoveryConfig | None = 
     same sample.
     """
     y = data.y
+    FunctionClass("cpcm", family).check_support(y)  # BadParam for an unknown family
     if family == "gaussian":
         mu, sd = float(np.mean(y)), float(np.std(y, ddof=1))
         if sd == 0:
             raise DomainViolation("constant target")
         u = ndtr((y - mu) / sd)
     elif family == "pareto":
-        if np.min(y) < 1.0:
-            raise DomainViolation(f"Pareto family requires Y >= 1, found min {np.min(y)}")
         theta = 1.0 / float(np.mean(np.log(y)))
         u = 1.0 - y ** (-theta)
-    elif family == "gamma":
-        if np.min(y) <= 0.0:
-            raise DomainViolation(f"Gamma family requires Y > 0, found min {np.min(y)}")
+    else:
         mu, var = float(np.mean(y)), float(np.var(y, ddof=1))
         if var <= 0:
             raise DomainViolation("constant target")
         u = gamma_dist.cdf(y, a=mu * mu / var, scale=var / mu)
-    else:
-        raise BadParam(f"unknown family {family!r}")
     return ad_uniform_test(np.clip(u, 1e-12, 1.0 - 1e-12))
 
 
@@ -290,13 +288,42 @@ def metrics(true_pa, estimates) -> tuple[float, float]:
     return 100.0 * float(np.mean(correct)), 100.0 * float(np.mean(no_false))
 
 
+def replicate(generator, f_class: FunctionClass, rep: int, *, n: int, seed: int, mode: str = "both"):
+    """One benchmark replicate: draw ``generator(child_seed(seed, REPLICATE, rep), n)``,
+    analyse it with ``DiscoveryConfig(seed=child_seed(seed, BOOT, rep))``, and
+    return ``(true_pa, isd_estimate, score_estimate)``; an estimate the mode
+    skips is None."""
+    gd = generator(seeding.child_seed(seed, seeding.REPLICATE, rep), n)
+    cfg = DiscoveryConfig(seed=seeding.child_seed(seed, seeding.BOOT, rep))
+    result = analyze(gd.data, f_class, cfg, mode=mode)
+    score = None if result.score_estimate is None else tuple(result.score_estimate.members)
+    return gd.true_pa, result.isd_estimate, score
+
+
+def bench_replicates(generator, f_class: FunctionClass, reps: int, *, n: int, seed: int, mode: str = "both", run=None):
+    """Replicate a benchmark ``reps`` times and average the two metrics.
+
+    ``run(fn, reps)`` maps the one-replicate function over ``range(reps)``
+    (a process pool, say); by default the replicates run in order.  Returns
+    the per-replicate rows of :func:`replicate` and, for each algorithm the
+    mode runs, ``{algorithm: (correct-causes %, no-false-positives %)}``.
+    """
+    fn = partial(replicate, generator, f_class, n=n, seed=seed, mode=mode)
+    rows = run(fn, reps) if run else [fn(rep) for rep in range(reps)]
+    summary = {}
+    for algorithm, idx in (("isd", 1), ("score", 2)):
+        if mode in (algorithm, "both"):
+            per_rep = [metrics(row[0], [row[idx]]) for row in rows]
+            summary[algorithm] = (float(np.mean([m[0] for m in per_rep])), float(np.mean([m[1] for m in per_rep])))
+    return rows, summary
+
+
 # --------------------------------------------------------------------- #
 # serialization: fixed key order, 17 significant digits, null for -inf
 # --------------------------------------------------------------------- #
 
 
 def _config_dict(cfg: DiscoveryConfig, f_class: FunctionClass) -> dict:
-    smoother = cfg.smoother if isinstance(cfg.smoother, SmootherConfig) else SmootherConfig()
     return {
         "function_class": f_class.label,
         "alpha": cfg.alpha,
@@ -305,9 +332,9 @@ def _config_dict(cfg: DiscoveryConfig, f_class: FunctionClass) -> dict:
         "hsic_permutations": cfg.hsic_permutations,
         "significance_permutations": cfg.significance_permutations,
         "smoother": {
-            "penalty_grid": list(smoother.penalty_grid),
-            "bandwidth_rule": smoother.bandwidth_rule,
-            "sigma_floor": smoother.sigma_floor,
+            "penalty_grid": list(cfg.smoother.penalty_grid),
+            "bandwidth_rule": cfg.smoother.bandwidth_rule,
+            "sigma_floor": cfg.smoother.sigma_floor,
         },
         "max_p": cfg.max_p,
         "significance_score": cfg.significance_score,
@@ -340,7 +367,7 @@ def result_to_json(result: DiscoveryResult) -> str:
         ),
         "score_estimate": list(result.score_estimate.members) if result.score_estimate is not None else None,
         "config": _config_dict(result.config, result.function_class),
-        "seed": result.seed,
+        "seed": result.config.seed,
     }
     return json_value(doc) + "\n"
 

@@ -55,10 +55,6 @@ class RankDeficient(StatError):
     pass
 
 
-class BackfitDiverged(StatError):
-    pass
-
-
 class DomainViolation(StatError):
     """Data falls outside the support required by a parametric family."""
 

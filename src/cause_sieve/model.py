@@ -19,6 +19,7 @@ from scipy.stats import rankdata
 from .errors import (
     BadParam,
     ConstantColumn,
+    DomainViolation,
     MissingTarget,
     NonFiniteEntry,
     TooFewRows,
@@ -87,6 +88,14 @@ class FunctionClass:
     @property
     def code(self) -> int:
         return CLASS_CODES[(self.kind, self.family)]
+
+    def check_support(self, y) -> None:
+        """Raise ``DomainViolation`` when the target leaves the family's
+        support: Pareto needs Y >= 1, Gamma needs Y > 0."""
+        if self.family == "pareto" and np.min(y) < 1.0:
+            raise DomainViolation(f"Pareto family requires Y >= 1, found min {np.min(y)}")
+        if self.family == "gamma" and np.min(y) <= 0.0:
+            raise DomainViolation(f"Gamma family requires Y > 0, found min {np.min(y)}")
 
 
 @dataclass(frozen=True)
@@ -253,6 +262,30 @@ def enumerate_candidates(p: int, max_p: int = 12) -> list[CandidateSet]:
 
 
 @dataclass(frozen=True)
+class SmootherConfig:
+    """Settings for the smoothers behind the nonparametric fits.
+
+    ``penalty_grid`` lists the candidate roughness penalties for the
+    spline smoother (chosen by two-fold cross-validation on standardized
+    data).  ``bandwidth_rule`` governs the kernel-local parametric fits:
+    Silverman's per-covariate rule 1.06 * sd * n^(-1/(4+d)), or a
+    leave-one-out rescaling of it.
+    """
+
+    penalty_grid: tuple[float, ...] = (1e-2, 1e-1, 1e0, 1e1, 1e2)
+    bandwidth_rule: str = "silverman"  # or "cv"
+    sigma_floor: float | None = None  # None -> 1e-6 * sd(y)
+
+    def __post_init__(self):
+        if self.bandwidth_rule not in ("silverman", "cv"):
+            raise BadParam(f"unknown bandwidth rule {self.bandwidth_rule!r}")
+        if len(self.penalty_grid) == 0 or any(p < 0 for p in self.penalty_grid):
+            raise BadParam("penalty_grid must be non-empty and non-negative")
+        if self.sigma_floor is not None and self.sigma_floor <= 0:
+            raise BadParam("sigma_floor must be positive")
+
+
+@dataclass(frozen=True)
 class DiscoveryConfig:
     """Settings shared by the plausibility checks and the score search."""
 
@@ -262,7 +295,7 @@ class DiscoveryConfig:
     hsic_method: str = "gamma"
     hsic_permutations: int = 500
     significance_permutations: int = 99
-    smoother: "object | None" = None  # regress.SmootherConfig; None = defaults
+    smoother: SmootherConfig = SmootherConfig()
     max_p: int = 12
     significance_score: str = "one_minus_p_log"
 
@@ -275,6 +308,10 @@ class DiscoveryConfig:
             raise BadParam(f"max_p is capped at 20, got {self.max_p}")
         if self.hsic_method not in ("gamma", "permutation"):
             raise BadParam(f"unknown hsic method {self.hsic_method!r}")
+        if self.hsic_permutations < 1:
+            raise BadParam(f"hsic_permutations must be at least 1, got {self.hsic_permutations}")
+        if self.significance_permutations < 50:
+            raise BadParam(f"significance_permutations must be at least 50, got {self.significance_permutations}")
         if self.significance_score not in ("one_minus_p_log", "neg_log_p"):
             raise BadParam(f"unknown significance_score {self.significance_score!r}")
 

@@ -13,44 +13,19 @@ matching with Silverman bandwidths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import RBFInterpolator
 from scipy.special import gammaln, ndtr
+from scipy.stats import gamma as gamma_dist
 from scipy.stats import t as student_t
 
 from . import stattests
-from .errors import BadParam, DegenerateTheta, DomainViolation, RankDeficient
-from .model import CandidateSet, Dataset, FunctionClass, NoiseRecovery, pit_rescale
+from .errors import BadParam, DegenerateTheta, RankDeficient
+from .model import CandidateSet, Dataset, FunctionClass, NoiseRecovery, SmootherConfig, pit_rescale
 
 SMOOTHER_DIM_CAP = 6
 EPS_CLIP = 1e-12  # keeps parametric eps strictly inside (0,1)
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class SmootherConfig:
-    """Settings for the smoothers behind the nonparametric fits.
-
-    ``penalty_grid`` lists the candidate roughness penalties for the
-    spline smoother (chosen by two-fold cross-validation on standardized
-    data).  ``bandwidth_rule`` governs the kernel-local parametric fits:
-    Silverman's per-covariate rule 1.06 * sd * n^(-1/(4+d)), or a
-    leave-one-out rescaling of it.
-    """
-
-    penalty_grid: tuple[float, ...] = (1e-2, 1e-1, 1e0, 1e1, 1e2)
-    bandwidth_rule: str = "silverman"  # or "cv"
-    sigma_floor: float | None = None  # None -> 1e-6 * sd(y)
-
-    def __post_init__(self):
-        if self.bandwidth_rule not in ("silverman", "cv"):
-            raise BadParam(f"unknown bandwidth rule {self.bandwidth_rule!r}")
-        if len(self.penalty_grid) == 0 or any(p < 0 for p in self.penalty_grid):
-            raise BadParam("penalty_grid must be non-empty and non-negative")
-        if self.sigma_floor is not None and self.sigma_floor <= 0:
-            raise BadParam("sigma_floor must be positive")
 
 
 # --------------------------------------------------------------------- #
@@ -64,7 +39,8 @@ class _MeanSmoother:
     Covariates are rescaled to unit variance and the response is
     standardized, so one penalty grid serves every dataset.  The two CV
     folds are the even and odd rows: deterministic, and fold membership
-    is independent of the data values.
+    is independent of the data values.  Collinear covariates make the
+    spline's polynomial block singular; that surfaces as ``RankDeficient``.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, cfg: SmootherConfig):
@@ -75,38 +51,29 @@ class _MeanSmoother:
         xn = x / self._x_scale
         yn = (y - self._y_mean) / self._y_scale
 
-        even = np.arange(y.size) % 2 == 0
-        best, best_err = cfg.penalty_grid[0], np.inf
-        if y.size >= 8 and len(cfg.penalty_grid) > 1:
-            for lam in cfg.penalty_grid:
-                err = 0.0
-                for tr in (even, ~even):
-                    f = RBFInterpolator(xn[tr], yn[tr], kernel="thin_plate_spline", smoothing=lam)
-                    err += float(np.mean((yn[~tr] - f(xn[~tr])) ** 2))
-                if err < best_err:
-                    best, best_err = lam, err
-        self.penalty = float(best)
-        self._spline = RBFInterpolator(xn, yn, kernel="thin_plate_spline", smoothing=self.penalty)
+        try:
+            even = np.arange(y.size) % 2 == 0
+            best, best_err = cfg.penalty_grid[0], np.inf
+            if y.size >= 8 and len(cfg.penalty_grid) > 1:
+                for lam in cfg.penalty_grid:
+                    err = 0.0
+                    for tr in (even, ~even):
+                        f = RBFInterpolator(xn[tr], yn[tr], kernel="thin_plate_spline", smoothing=lam)
+                        err += float(np.mean((yn[~tr] - f(xn[~tr])) ** 2))
+                    if err < best_err:
+                        best, best_err = lam, err
+            self.penalty = float(best)
+            self._spline = RBFInterpolator(xn, yn, kernel="thin_plate_spline", smoothing=self.penalty)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient(f"spline system is singular (collinear covariates): {exc}") from exc
         self.fitted = self.predict(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self._spline(x / self._x_scale) * self._y_scale + self._y_mean
 
-    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> "_MeanEvaluator":
-        return _MeanEvaluator(self, x, y)
-
-
-class _MeanEvaluator:
-    def __init__(self, model: _MeanSmoother, x: np.ndarray, y: np.ndarray):
-        self._model = model
-        self._x = x
-        self._y = y
-        self.baseline = float(np.mean((y - model.predict(x)) ** 2))
-
-    def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
-        x = self._x.copy()
-        x[:, pos] = x[perm, pos]
-        return float(np.mean((self._y - self._model.predict(x)) ** 2))
+    def loss(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Mean squared prediction error."""
+        return float(np.mean((y - self.predict(x)) ** 2))
 
 
 # E[log eps^2] for standard normal eps: psi(1/2) + log 2.  The smoother of
@@ -134,29 +101,12 @@ class _LocationScaleModel:
     def sigma_fitted(self) -> np.ndarray:
         return np.maximum(np.exp(0.5 * (self.logvar_model.fitted - _LOG_CHI2_MEAN)), self.floor)
 
-    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> "_LocScaleEvaluator":
-        return _LocScaleEvaluator(self, x, y)
-
-
-class _LocScaleEvaluator:
-    """Gaussian-deviance loss; a permutation moves the mean and the scale."""
-
-    def __init__(self, model: _LocationScaleModel, x: np.ndarray, y: np.ndarray):
-        self._model = model
-        self._x = x
-        self._y = y
-        self.baseline = self._loss(x)
-
-    def _loss(self, x: np.ndarray) -> float:
-        mu = self._model.mu(x)
-        sigma = self._model.sigma(x)  # log-chi2 corrected
-        z = (self._y - mu) / sigma
+    def loss(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Gaussian deviance; permuting a column moves the mean and the scale."""
+        mu = self.mu(x)
+        sigma = self.sigma(x)  # log-chi2 corrected
+        z = (y - mu) / sigma
         return float(np.mean(np.log(sigma) + 0.5 * z * z))
-
-    def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
-        x = self._x.copy()
-        x[:, pos] = x[perm, pos]
-        return self._loss(x)
 
 
 # --------------------------------------------------------------------- #
@@ -181,12 +131,6 @@ def _log_kernel_factors(x_tr: np.ndarray, x_ev: np.ndarray, hs: np.ndarray) -> n
     return out
 
 
-def _nw(w: np.ndarray, y_tr: np.ndarray) -> np.ndarray:
-    """Kernel-weighted local mean, with a global-mean fallback off-support."""
-    sw = w.sum(axis=1)
-    return np.where(sw > _TINY, (w @ y_tr) / np.maximum(sw, _TINY), float(np.mean(y_tr)))
-
-
 def _select_bandwidths(x: np.ndarray, y: np.ndarray, rule: str) -> np.ndarray:
     d = x.shape[1]
     base = np.array([_silverman(x[:, j], d) for j in range(d)])
@@ -208,6 +152,9 @@ def _select_bandwidths(x: np.ndarray, y: np.ndarray, rule: str) -> np.ndarray:
 
 
 class _CpcmLocalEvaluator:
+    """Permutation losses from the per-column log-kernel factors: permuting
+    one column swaps one factor, so no kernel is rebuilt."""
+
     def __init__(self, model: "_CpcmLocalModel", x: np.ndarray, y: np.ndarray):
         self._model = model
         self._y = y
@@ -243,21 +190,19 @@ class _CpcmLocalModel:
     def log_factors(self, x_ev: np.ndarray) -> np.ndarray:
         return _log_kernel_factors(self.x_train, x_ev, self.bandwidths)
 
-    def theta(self, x_ev: np.ndarray):
-        """Local parameters at the evaluation points.
+    def _local_params(self, w: np.ndarray):
+        """Local parameters from the (m, n) kernel weights of m evaluation points.
 
         Pareto: tail index solving the weighted likelihood equation; with
         uniform weights it collapses to the global MLE 1/mean(ln y).
-        Gamma: shape and scale by weighted moment matching.
+        Gamma: (shape, scale) by weighted moment matching.
         """
-        w = np.exp(self.log_factors(x_ev).sum(axis=0))
         sw = w.sum(axis=1)
         if np.any(sw <= _TINY):
             raise DegenerateTheta("kernel weights underflow away from the data")
         if self.family == "pareto":
-            denom = w @ self._log_y
             with np.errstate(divide="ignore"):
-                theta = sw / denom
+                theta = sw / (w @ self._log_y)
             if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
                 raise DegenerateTheta("non-positive or non-finite Pareto index")
             return theta
@@ -268,24 +213,16 @@ class _CpcmLocalModel:
             raise DegenerateTheta("degenerate local Gamma moments")
         return mu * mu / var, var / mu
 
+    def theta(self, x_ev: np.ndarray):
+        """Local parameters at the evaluation points (see ``_local_params``)."""
+        return self._local_params(np.exp(self.log_factors(x_ev).sum(axis=0)))
+
     def nll(self, w: np.ndarray, y: np.ndarray) -> float:
-        sw = w.sum(axis=1)
-        if np.any(sw <= _TINY):
-            raise DegenerateTheta("kernel weights underflow away from the data")
+        """Mean negative log-likelihood of ``y`` under the parameters the weights give."""
         if self.family == "pareto":
-            denom = w @ self._log_y
-            with np.errstate(divide="ignore"):
-                theta = sw / denom
-            if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
-                raise DegenerateTheta("non-positive or non-finite Pareto index")
+            theta = self._local_params(w)
             return float(np.mean(-np.log(theta) + (theta + 1.0) * np.log(y)))
-        mu = (w @ self.y_train) / sw
-        second = (w @ (self.y_train * self.y_train)) / sw
-        var = second - mu * mu
-        if np.any(mu <= 0) or np.any(var <= 0):
-            raise DegenerateTheta("degenerate local Gamma moments")
-        shape = mu * mu / var
-        scale = var / mu
+        shape, scale = self._local_params(w)
         nll = -(shape - 1.0) * np.log(y) + y / scale + shape * np.log(scale) + gammaln(shape)
         return float(np.mean(nll))
 
@@ -296,18 +233,6 @@ class _CpcmLocalModel:
 # --------------------------------------------------------------------- #
 # linear fit
 # --------------------------------------------------------------------- #
-
-
-class _LinearEvaluator:
-    def __init__(self, contribs: np.ndarray, offset: float, y: np.ndarray):
-        self._contribs = contribs
-        self._total = offset + contribs.sum(axis=0)
-        self._y = y
-        self.baseline = float(np.mean((y - self._total) ** 2))
-
-    def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
-        pred = self._total - self._contribs[pos] + self._contribs[pos][perm]
-        return float(np.mean((self._y - pred) ** 2))
 
 
 class _LinearModel:
@@ -321,9 +246,6 @@ class _LinearModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.intercept + x @ self.beta
-
-    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _LinearEvaluator:
-        return _LinearEvaluator(np.ascontiguousarray((x * self.beta).T), self.intercept, y)
 
 
 # --------------------------------------------------------------------- #
@@ -370,14 +292,13 @@ def _check_dim(s: CandidateSet):
 def fit_additive(
     data: Dataset,
     s: CandidateSet,
-    cfg: SmootherConfig | None = None,
+    cfg: SmootherConfig = SmootherConfig(),
     *,
     n_perm: int = 99,
     seed: int = 0,
 ) -> NoiseRecovery:
     """Spline conditional-mean fit, residuals rank-PIT rescaled."""
     _check_dim(s)
-    cfg = cfg or SmootherConfig()
     x = data.covariates(s)
     y = data.y
     model = _MeanSmoother(x, y, cfg)
@@ -396,30 +317,36 @@ def fit_additive(
     )
 
 
+def _location_scale_fit(data: Dataset, s: CandidateSet, cfg: SmootherConfig, n_perm: int, seed: int):
+    """The location-scale fit behind both the location-scale class and the
+    Gaussian cpcm family: (model, standardized residuals, mean-fit loss,
+    significance p-values)."""
+    x = data.covariates(s)
+    y = data.y
+    model = _LocationScaleModel(x, y, cfg)
+    resid = y - model.mu_model.fitted
+    sig = stattests.perm_significance(
+        data, s, lambda xt, yt: _LocationScaleModel(xt, yt, cfg), n_perm=n_perm, seed=seed
+    )
+    return model, resid / model.sigma_fitted(), float(np.mean(resid**2)), sig
+
+
 def fit_location_scale(
     data: Dataset,
     s: CandidateSet,
-    cfg: SmootherConfig | None = None,
+    cfg: SmootherConfig = SmootherConfig(),
     *,
     n_perm: int = 99,
     seed: int = 0,
 ) -> NoiseRecovery:
     """Spline mean plus spline log-variance; standardized residuals PIT rescaled."""
     _check_dim(s)
-    cfg = cfg or SmootherConfig()
-    x = data.covariates(s)
-    y = data.y
-    model = _LocationScaleModel(x, y, cfg)
-    resid = y - model.mu_model.fitted
-    std_resid = resid / model.sigma_fitted()
-    sig = stattests.perm_significance(
-        data, s, lambda xt, yt: _LocationScaleModel(xt, yt, cfg), n_perm=n_perm, seed=seed
-    )
+    model, std_resid, fit_loss, sig = _location_scale_fit(data, s, cfg, n_perm, seed)
     return NoiseRecovery(
         eps=pit_rescale(std_resid),
         residuals=std_resid,
         significance_p=sig,
-        fit_loss=float(np.mean(resid**2)),
+        fit_loss=fit_loss,
         function_class=FunctionClass("location-scale"),
         candidate=s,
         model=model,
@@ -430,7 +357,7 @@ def fit_cpcm(
     data: Dataset,
     s: CandidateSet,
     family: str,
-    cfg: SmootherConfig | None = None,
+    cfg: SmootherConfig = SmootherConfig(),
     *,
     n_perm: int = 99,
     seed: int = 0,
@@ -441,47 +368,33 @@ def fit_cpcm(
     distributional content, and the uniformity question has to see it.
     """
     _check_dim(s)
-    cfg = cfg or SmootherConfig()
-    x = data.covariates(s)
-    y = data.y
     f_class = FunctionClass("cpcm", family)
+    y = data.y
+    f_class.check_support(y)
 
-    if family == "pareto" and np.min(y) < 1.0:
-        raise DomainViolation(f"Pareto family requires Y >= 1, found min {np.min(y)}")
-    if family == "gamma" and np.min(y) <= 0.0:
-        raise DomainViolation(f"Gamma family requires Y > 0, found min {np.min(y)}")
-
-    raw = None
     if family == "gaussian":
-        model = _LocationScaleModel(x, y, cfg)
-        z = (y - model.mu_model.fitted) / model.sigma_fitted()
-        eps = ndtr(z)
-        raw = z  # the independence question sees the standardized scale
-        fit_loss = float(np.mean((y - model.mu_model.fitted) ** 2))
-        refit = lambda xt, yt: _LocationScaleModel(xt, yt, cfg)
-    elif family == "pareto":
-        model = _CpcmLocalModel(x, y, "pareto", cfg)
-        theta = model.theta(x)
-        eps = 1.0 - y ** (-theta)
-        median = 2.0 ** (1.0 / theta)  # the conditional mean may not exist
-        fit_loss = float(np.mean((y - median) ** 2))
-        refit = lambda xt, yt: _CpcmLocalModel(xt, yt, "pareto", cfg)
-    elif family == "gamma":
-        from scipy.stats import gamma as gamma_dist
-
-        model = _CpcmLocalModel(x, y, "gamma", cfg)
-        shape, scale = model.theta(x)
-        eps = gamma_dist.cdf(y, a=shape, scale=scale)
-        fit_loss = float(np.mean((y - shape * scale) ** 2))
-        refit = lambda xt, yt: _CpcmLocalModel(xt, yt, "gamma", cfg)
+        model, z, fit_loss, sig = _location_scale_fit(data, s, cfg, n_perm, seed)
+        eps = np.clip(ndtr(z), EPS_CLIP, 1.0 - EPS_CLIP)
+        residuals = z  # the independence question sees the standardized scale
     else:
-        raise BadParam(f"unknown cpcm family {family!r}")
-
-    sig = stattests.perm_significance(data, s, refit, n_perm=n_perm, seed=seed)
-    eps = np.clip(eps, EPS_CLIP, 1.0 - EPS_CLIP)
+        x = data.covariates(s)
+        model = _CpcmLocalModel(x, y, family, cfg)
+        if family == "pareto":
+            theta = model.theta(x)
+            eps = 1.0 - y ** (-theta)
+            median = 2.0 ** (1.0 / theta)  # the conditional mean may not exist
+            fit_loss = float(np.mean((y - median) ** 2))
+        else:
+            shape, scale = model.theta(x)
+            eps = gamma_dist.cdf(y, a=shape, scale=scale)
+            fit_loss = float(np.mean((y - shape * scale) ** 2))
+        sig = stattests.perm_significance(
+            data, s, lambda xt, yt: _CpcmLocalModel(xt, yt, family, cfg), n_perm=n_perm, seed=seed
+        )
+        eps = residuals = np.clip(eps, EPS_CLIP, 1.0 - EPS_CLIP)
     return NoiseRecovery(
         eps=eps,
-        residuals=eps if raw is None else raw,
+        residuals=residuals,
         significance_p=sig,
         fit_loss=fit_loss,
         function_class=f_class,
@@ -494,7 +407,7 @@ def recover_noise(
     data: Dataset,
     s: CandidateSet,
     f_class: FunctionClass,
-    cfg: SmootherConfig | None = None,
+    cfg: SmootherConfig = SmootherConfig(),
     *,
     n_perm: int = 99,
     seed: int = 0,

@@ -37,30 +37,50 @@ class TestResult:
 
 
 def _median_bandwidth(col: np.ndarray) -> float:
-    """Median heuristic: median of the non-zero pairwise absolute distances."""
-    d = np.abs(col[:, None] - col[None, :])
-    tri = d[np.triu_indices(col.size, k=1)]
-    nz = tri[tri > 0]
-    if nz.size == 0:
+    """Median heuristic: median of the non-zero pairwise absolute distances.
+
+    The distances are taken lag by lag along the sorted column, so every
+    pair appears once and no (n, n) matrix is built; ``s[i + k] - s[i]`` is
+    the same float as ``|col[a] - col[b]|`` for that pair.
+    """
+    s = np.sort(col)
+    n = s.size
+    dist = np.empty(n * (n - 1) // 2)
+    at = 0
+    for k in range(1, n):
+        np.subtract(s[k:], s[:-k], out=dist[at : at + n - k])
+        at += n - k
+    if np.any(s[1:] == s[:-1]):  # ties give zero distances
+        dist = dist[dist > 0]
+    if dist.size == 0:
         raise ConstantInput("all pairwise distances are zero")
-    return float(np.median(nz))
+    return float(np.median(dist, overwrite_input=True))
 
 
 def _product_rbf_kernel(x: np.ndarray) -> np.ndarray:
-    """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2))."""
-    n = x.shape[0]
-    expo = np.zeros((n, n))
+    """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2)).
+
+    The exponent is built in place, one (n, n) array per column; dividing
+    by the negated denominator gives the same floats as negating after.
+    """
+    expo = None
     for j in range(x.shape[1]):
         col = x[:, j]
         h = _median_bandwidth(col)
         d = col[:, None] - col[None, :]
-        expo += (d * d) / (2.0 * h * h)
-    return np.exp(-expo)
+        np.multiply(d, d, out=d)
+        d /= -(2.0 * h * h)
+        if expo is None:
+            expo = d
+        else:
+            expo += d
+    return np.exp(expo, out=expo)
 
 
 def _centered(k: np.ndarray) -> np.ndarray:
     k = k - k.mean(axis=0, keepdims=True)
-    return k - k.mean(axis=1, keepdims=True)
+    k -= k.mean(axis=1, keepdims=True)
+    return k
 
 
 def hsic_test(
@@ -94,11 +114,12 @@ def hsic_test(
     k = _product_rbf_kernel(x)
     bigl = _product_rbf_kernel(e[:, None])
     kc = _centered(k)
-    lc = _centered(bigl)
-    stat = float(np.sum(kc * lc) / n)
+    kl = _centered(bigl)
+    kl *= kc
+    stat = float(np.sum(kl) / n)
 
     if method == "gamma":
-        p = _gamma_p_value(k, bigl, kc, lc, stat)
+        p = _gamma_p_value(k, bigl, kl, stat)
         return TestResult(statistic=stat, p_value=p, method="hsic-gamma")
     if method == "permutation":
         if n_perm < 1:
@@ -116,17 +137,22 @@ def hsic_test(
     raise BadParam(f"unknown hsic method {method!r}")
 
 
-def _gamma_p_value(k, bigl, kc, lc, stat) -> float:
-    """Moment-matched Gamma approximation to the null distribution of n*HSIC."""
+def _gamma_p_value(k, bigl, kl, stat) -> float:
+    """Moment-matched Gamma approximation to the null distribution of n*HSIC.
+
+    ``kl``, the elementwise product of the two centered kernels, is
+    overwritten, and the diagonals of ``k`` and ``bigl`` are zeroed in place.
+    """
     n = k.shape[0]
-    var = (kc * lc / 6.0) ** 2
-    var = (var.sum() - np.trace(var)) / (n * (n - 1))
+    kl /= 6.0
+    np.square(kl, out=kl)
+    var = (kl.sum() - np.trace(kl)) / (n * (n - 1))
     var = var * 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
 
-    k0 = k - np.diag(np.diag(k))
-    l0 = bigl - np.diag(np.diag(bigl))
-    mu_x = k0.sum() / (n * (n - 1))
-    mu_y = l0.sum() / (n * (n - 1))
+    np.fill_diagonal(k, 0.0)
+    np.fill_diagonal(bigl, 0.0)
+    mu_x = k.sum() / (n * (n - 1))
+    mu_y = bigl.sum() / (n * (n - 1))
     mean = (1.0 + mu_x * mu_y - mu_x - mu_y) / n
     if var <= 0 or mean <= 0:
         return 1.0
@@ -190,15 +216,27 @@ def ks_uniform_test(u) -> TestResult:
     return TestResult(statistic=d, p_value=p, method="kolmogorov-smirnov")
 
 
-def two_sample_ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """sup_t |F_a(t) - F_b(t)| between two empirical distributions.
+class _PermutedLoss:
+    """Evaluator for a model with ``loss(x, y)``: each permuted loss
+    re-evaluates the model on a copy of ``x`` with one column permuted."""
 
-    ``a`` and ``b`` must already be sorted ascending.
-    """
-    both = np.concatenate([a, b])
-    ca = np.searchsorted(a, both, side="right") / a.size
-    cb = np.searchsorted(b, both, side="right") / b.size
-    return float(np.max(np.abs(ca - cb)))
+    def __init__(self, model, x: np.ndarray, y: np.ndarray):
+        self._model = model
+        self._x = x
+        self._y = y
+        self.baseline = model.loss(x, y)
+
+    def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
+        x = self._x.copy()
+        x[:, pos] = x[perm, pos]
+        return self._model.loss(x, self._y)
+
+
+def permutation_evaluator(model, x: np.ndarray, y: np.ndarray):
+    """The model's own evaluator when it has one, else a :class:`_PermutedLoss`."""
+    if hasattr(model, "permutation_evaluator"):
+        return model.permutation_evaluator(x, y)
+    return _PermutedLoss(model, x, y)
 
 
 def perm_significance(
@@ -210,9 +248,15 @@ def perm_significance(
 ) -> np.ndarray:
     """Permutation-importance p-values, one per member of ``s``.
 
-    ``refit(x, y)`` must fit the class-appropriate model and return an object
-    whose ``permutation_evaluator(x, y)`` yields a baseline prediction loss
-    plus a fast loss under column permutations (see :mod:`cause_sieve.regress`).
+    ``refit(x, y)`` fits the class-appropriate model.  An evaluator on the
+    held-out rows supplies the losses: a ``baseline`` and
+    ``loss_with_permuted(pos, perm)``, the loss with column ``pos``
+    reordered by ``perm`` (the identity reproduces the baseline).  A model
+    with ``loss(x, y)`` (the splines' squared error or Gaussian deviance)
+    gets :class:`_PermutedLoss`, which re-evaluates it on a permuted copy;
+    a model may instead supply its own ``permutation_evaluator(x, y)``, as
+    the kernel-local parametric model does: its kernel factorises over
+    columns, so a permutation swaps one factor instead of rebuilding it.
 
     The model is fitted on a held-out split: half the rows train the model,
     the other half supply the losses.  Comparing the held-out baseline with
@@ -235,7 +279,7 @@ def perm_significance(
     train, test = order[:half], order[half:]
 
     model = refit(x[train], y[train])
-    evaluator = model.permutation_evaluator(x[test], y[test])
+    evaluator = permutation_evaluator(model, x[test], y[test])
     base = evaluator.baseline
 
     p_values = np.empty(len(s))

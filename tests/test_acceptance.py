@@ -30,17 +30,8 @@ def _sha(path):
 
 
 def _bench_runs(generator, n_reps, n, f_class, mode):
-    outcomes = []
-    for rep in range(n_reps):
-        gd = generator(seeding.child_seed(BENCH_SEED, seeding.REPLICATE, rep), n)
-        cfg = cs.DiscoveryConfig(seed=seeding.child_seed(BENCH_SEED, seeding.BOOT, rep))
-        res = cs.analyze(gd.data, f_class, cfg, mode=mode)
-        est = res.isd_estimate if mode == "isd" else tuple(res.score_estimate.members)
-        outcomes.append((gd.true_pa, est))
-    per_rep = [cs.metrics(truth, [est]) for truth, est in outcomes]
-    correct = float(np.mean([m[0] for m in per_rep]))
-    nfp = float(np.mean([m[1] for m in per_rep]))
-    return correct, nfp
+    _, summary = cs.bench_replicates(generator, f_class, n_reps, n=n, seed=BENCH_SEED, mode=mode)
+    return summary[mode]
 
 
 def test_criterion_01_benchmark1_isd():

@@ -63,6 +63,16 @@ class TestDiscover:
         rc = main(["discover", str(csv_path), "--target", "Y", "--class", "cpcm:pareto", "--out", str(tmp_path / "y.json")])
         assert rc == 3
 
+    def test_smoother_cap_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        header = ",".join(["Y"] + [f"X{i}" for i in range(1, 8)])
+        rows = [header] + [",".join(str(v) for v in rng.normal(size=8)) for _ in range(40)]
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        rc = main(["discover", str(csv_path), "--target", "Y", "--class", "additive", "--out", str(tmp_path / "w.json")])
+        assert rc == 2
+        assert "smoother dimension cap" in capsys.readouterr().err
+
     def test_byte_identical_result(self, bench2_csv, tmp_path):
         args = ["discover", str(bench2_csv), "--target", "Y", "--class", "linear", "--mode", "both", "--seed", "11", "--out"]
         assert main(args + [str(tmp_path / "r1.json")]) == 0

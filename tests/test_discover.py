@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cause_sieve import seeding
+from cause_sieve import discover, seeding
 from cause_sieve.discover import (
     DiscoveryResult,
     ScoreRow,
@@ -197,3 +197,31 @@ class TestSerialization:
         assert doc["isd_estimate"] is None
         assert doc["plausible_sets"] is None
         assert isinstance(doc["score_estimate"], list)
+
+
+class TestDegenerateInput:
+    @pytest.mark.parametrize("label", ["additive", "location-scale", "cpcm:gaussian"])
+    def test_duplicated_covariate_is_rank_deficient(self, label):
+        rng = seeding.substream(3, 777)
+        x1, x3 = rng.standard_normal(100), rng.standard_normal(100)
+        data = table(np.sin(x1) + 0.5 * rng.standard_normal(100), x1, x1.copy(), x3)
+        res = analyze(data, FunctionClass.parse(label), DiscoveryConfig(seed=0))
+        with_both = [v for v in res.verdicts if {1, 2} <= set(v.candidate.members)]
+        assert len(with_both) == 2
+        assert all(v.reason == "RankDeficient" for v in with_both)
+
+    def test_smoother_cap_rejected_before_any_fit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(discover, "recover_noise", lambda *args, **kwargs: calls.append(args))
+        rng = seeding.substream(4, 777)
+        data = table(rng.standard_normal(40), *(rng.standard_normal(40) for _ in range(7)))
+        for label in ("additive", "location-scale", "cpcm:gaussian", "cpcm:gamma", "cpcm:pareto"):
+            with pytest.raises(TooManyCovariates, match="smoother dimension cap of 6"):
+                analyze(data, FunctionClass.parse(label), DiscoveryConfig(seed=0))
+        assert calls == []
+
+    def test_linear_class_has_no_smoother_cap(self):
+        rng = seeding.substream(5, 777)
+        data = table(rng.standard_normal(40), *(rng.standard_normal(40) for _ in range(7)))
+        res = analyze(data, FunctionClass("linear"), DiscoveryConfig(seed=0))
+        assert len(res.verdicts) == 2**7 - 1

@@ -150,6 +150,13 @@ class TestDomainTypes:
             DiscoveryConfig(max_p=21)
         with pytest.raises(BadParam):
             DiscoveryConfig(hsic_method="bootstrap")
+        with pytest.raises(BadParam):
+            DiscoveryConfig(significance_permutations=49)
+        with pytest.raises(BadParam):
+            DiscoveryConfig(significance_permutations=10)
+        with pytest.raises(BadParam):
+            DiscoveryConfig(hsic_permutations=0)
+        DiscoveryConfig(significance_permutations=50, hsic_permutations=1)  # the smallest valid counts
 
 
 class TestCsvRoundTrip:

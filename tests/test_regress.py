@@ -7,14 +7,17 @@ from cause_sieve.errors import BadParam, DomainViolation, RankDeficient
 from cause_sieve.model import CandidateSet
 from cause_sieve.regress import (
     SmootherConfig,
+    _CpcmLocalEvaluator,
     _CpcmLocalModel,
+    _LocationScaleModel,
+    _MeanSmoother,
     fit_additive,
     fit_cpcm,
     fit_linear,
     fit_location_scale,
     recover_noise,
 )
-from cause_sieve.stattests import ad_uniform_test, hsic_test
+from cause_sieve.stattests import _PermutedLoss, ad_uniform_test, hsic_test, permutation_evaluator
 
 from conftest import table
 
@@ -221,3 +224,33 @@ def test_recover_noise_dispatch():
         rec = recover_noise(data, CandidateSet((1,)), FunctionClass.parse(label), seed=0)
         assert rec.function_class.label == label
         assert rec.eps.shape == (200,)
+
+
+class TestPermutationEvaluator:
+    """The identity permutation reproduces each evaluator's held-out baseline."""
+
+    @pytest.mark.parametrize("model_cls", [_MeanSmoother, _LocationScaleModel])
+    def test_generic_evaluator_identity_is_exact(self, model_cls):
+        rng = seeding.substream(0, 910)
+        x = rng.standard_normal((200, 2))
+        y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, 1] ** 2) * rng.standard_normal(200)
+        model = model_cls(x[:100], y[:100], SmootherConfig())
+        ev = permutation_evaluator(model, x[100:], y[100:])
+        assert isinstance(ev, _PermutedLoss)
+        assert ev.baseline == model.loss(x[100:], y[100:])
+        for pos in range(2):
+            assert ev.loss_with_permuted(pos, np.arange(100)) == ev.baseline
+
+    @pytest.mark.parametrize("family", ["pareto", "gamma"])
+    def test_factorised_cpcm_identity_within_rounding(self, family):
+        rng = seeding.substream(1, 910)
+        x = rng.standard_normal((200, 2))
+        if family == "pareto":
+            y = (1.0 - rng.random(200)) ** (-1.0 / (2.0 + np.tanh(x[:, 0])))
+        else:
+            y = rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5)
+        model = _CpcmLocalModel(x[:100], y[:100], family, SmootherConfig())
+        ev = permutation_evaluator(model, x[100:], y[100:])
+        assert isinstance(ev, _CpcmLocalEvaluator)
+        for pos in range(2):
+            assert ev.loss_with_permuted(pos, np.arange(100)) == pytest.approx(ev.baseline, rel=1e-12, abs=0.0)

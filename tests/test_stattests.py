@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest
+from scipy.stats import kstest
 
 from cause_sieve import seeding
 from cause_sieve.errors import BadParam, ConstantInput, OutOfRange, TooFewRows
 from cause_sieve.model import CandidateSet
 from cause_sieve.regress import _MeanSmoother, SmootherConfig
 from cause_sieve.stattests import (
+    _product_rbf_kernel,
     ad_uniform_test,
     hsic_test,
     ks_uniform_test,
     perm_significance,
-    two_sample_ks_distance,
 )
 
 from conftest import table
@@ -53,6 +53,18 @@ class TestHsic:
         shifted = hsic_test(x + 17.0, e - 3.0)
         assert base.statistic == pytest.approx(shifted.statistic, rel=1e-9)
         assert base.p_value == pytest.approx(shifted.p_value, rel=1e-9)
+
+    def test_kernel_matches_pairwise_definition(self):
+        # the sorted-lag median and the in-place exponent give exactly the
+        # floats of the textbook (n, n) construction, ties included
+        x = np.round(np.random.default_rng(6).standard_normal((60, 2)), 1)
+        expo = np.zeros((60, 60))
+        for j in range(2):
+            d = x[:, j][:, None] - x[:, j][None, :]
+            tri = np.abs(d)[np.triu_indices(60, k=1)]
+            h = np.median(tri[tri > 0])
+            expo += (d * d) / (2.0 * h * h)
+        np.testing.assert_array_equal(_product_rbf_kernel(x), np.exp(-expo))
 
     def test_permutation_p_on_grid(self):
         rng = np.random.default_rng(5)
@@ -118,15 +130,6 @@ class TestKolmogorovSmirnov:
         r1, r2 = ks_uniform_test(u1), ks_uniform_test(u2)
         assert r2.statistic > r1.statistic
         assert r2.p_value < r1.p_value
-
-
-class TestTwoSampleKs:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(7)
-        a = np.sort(rng.standard_normal(300))
-        b = np.sort(rng.standard_normal(200) + 0.3)
-        ours = two_sample_ks_distance(a, b)
-        assert ours == pytest.approx(ks_2samp(a, b).statistic)
 
 
 class TestPermSignificance:
