@@ -18,7 +18,6 @@ from .discover import (
     result_to_json,
     save_result,
     score_search,
-    score_set,
 )
 from .errors import CauseSieveError, StatError, ValidationError
 from .model import (
@@ -39,7 +38,6 @@ from .stattests import (
     TestResult,
     ad_uniform_test,
     hsic_test,
-    ks_uniform_test,
     perm_significance,
 )
 from .synth import (
@@ -103,7 +101,6 @@ __all__ = [
     "gen_linear_chain",
     "hsic_test",
     "isd",
-    "ks_uniform_test",
     "load_csv",
     "metrics",
     "perlin_fn",
@@ -113,7 +110,6 @@ __all__ = [
     "result_to_json",
     "save_result",
     "score_search",
-    "score_set",
     "validate_dataset",
     "write_csv",
     "write_generated",

@@ -110,6 +110,11 @@ def _seed_of(args) -> int:
     return args.seed if args.seed is not None else _default_seed()
 
 
+def _check_count(flag: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise ValidationError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_discover(args) -> int:
     seed = _seed_of(args)
     f_class = FunctionClass.parse(args.f_class)
@@ -151,6 +156,7 @@ def _run_replicates(fn, reps: int, jobs: int):
 def cmd_bench(args) -> int:
     if args.benchmark not in _BENCH:
         raise ValidationError(f"unknown benchmark {args.benchmark!r}; expected 1, 2, or 3")
+    _check_count("--reps", args.reps)
     seed = _seed_of(args)
     f_class_label = args.f_class or _BENCH[args.benchmark]
     _, summary = bench_replicates(
@@ -180,7 +186,10 @@ def _parse_range(token: str, name: str) -> tuple[float, float]:
     parts = token.split(":")
     if len(parts) != 3 or parts[0] != name:
         raise ValidationError(f"expected {name}:LO:HI, got {token!r}")
-    lo, hi = float(parts[1]), float(parts[2])
+    try:
+        lo, hi = float(parts[1]), float(parts[2])
+    except ValueError:
+        raise ValidationError(f"expected {name}:LO:HI with numeric bounds, got {token!r}") from None
     if lo > hi:
         raise ValidationError(f"empty range in {token!r}")
     return lo, hi
@@ -203,6 +212,8 @@ def cmd_simulate(args) -> int:
     seed = _seed_of(args)
     c_lo, c_hi = _parse_range(args.grid[0], "c")
     g_lo, g_hi = _parse_range(args.grid[1], "gamma")
+    _check_count("--steps", min(args.steps))
+    _check_count("--reps", args.reps)
     c_vals = np.linspace(c_lo, c_hi, args.steps[0])
     g_vals = np.linspace(g_lo, g_hi, args.steps[1])
 
@@ -247,7 +258,7 @@ def cmd_datagen(args) -> int:
 
 def _run_verify_check(name: str, seed: int, n: int | None, reps: int | None):
     def pick(default_n, default_reps):
-        return (n or default_n), (reps or default_reps)
+        return (default_n if n is None else n), (default_reps if reps is None else reps)
 
     if name == "dist-equality":
         nn, _ = pick(20000, 1)
@@ -262,18 +273,20 @@ def _run_verify_check(name: str, seed: int, n: int | None, reps: int | None):
     if name == "norm-exception":
         nn, rr = pick(500, 20)
         return [verify.check_norm_exception(n=nn, n_reps=rr, seed=seed)]
-    if name == "marginalizability":
-        nn, rr = pick(2000, 50)
-        return [
-            verify.check_marginalizability("gaussian", n=nn, n_reps=rr, seed=seed),
-            verify.check_marginalizability("uniform", n=nn, n_reps=rr, seed=seed),
-        ]
-    raise ValidationError(f"unknown check {name!r}; expected one of {VERIFY_CHECKS} or all")
+    nn, rr = pick(2000, 50)  # marginalizability; cmd_verify admits no other name
+    return [
+        verify.check_marginalizability("gaussian", n=nn, n_reps=rr, seed=seed),
+        verify.check_marginalizability("uniform", n=nn, n_reps=rr, seed=seed),
+    ]
 
 
 def cmd_verify(args) -> int:
     seed = _seed_of(args)
     names = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
+    if args.check != "all" and args.check not in VERIFY_CHECKS:
+        raise ValidationError(f"unknown check {args.check!r}; expected one of {VERIFY_CHECKS} or all")
+    _check_count("--n", args.n)
+    _check_count("--reps", args.reps)
     os.makedirs(args.out, exist_ok=True)
     all_passed = True
     for name in names:

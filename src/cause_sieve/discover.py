@@ -34,7 +34,10 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class PlausibilityVerdict:
-    """Answers to the three questions for one candidate set."""
+    """Answers to the three questions for one candidate set, read by both the
+    ISD intersection and the score search.  A class that skips the uniformity
+    question reports ``p_dist = 1.0``; a failed fit reports NaN p-values and
+    the error class in ``reason``."""
 
     candidate: CandidateSet
     independent: bool
@@ -67,18 +70,9 @@ class DiscoveryResult:
     score_estimate: CandidateSet | None = None
 
 
-@dataclass(frozen=True)
-class _CandidateEvaluation:
-    candidate: CandidateSet
-    p_indep: float
-    p_sig: np.ndarray
-    p_dist: float | None  # None when the class skips the uniformity question
-    error: str | None
-
-
 def _evaluate_candidate(
     data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig
-) -> _CandidateEvaluation:
+) -> PlausibilityVerdict:
     try:
         recovery = recover_noise(
             data,
@@ -95,75 +89,44 @@ def _evaluate_candidate(
             n_perm=cfg.hsic_permutations,
             seed=seeding.child_seed(cfg.seed, seeding.HSIC_PERM, f_class.code, *s.members),
         )
-        p_dist = None
-        if not f_class.skip_distribution:
-            p_dist = ad_uniform_test(recovery.eps).p_value
+        # a class that skips the uniformity question answers it with p = 1
+        p_dist = 1.0 if f_class.skip_distribution else ad_uniform_test(recovery.eps).p_value
     except StatError as exc:
         # one degenerate candidate (domain violation, rank deficiency, ...)
         # must not abort a full search: score it implausible and move on
-        return _CandidateEvaluation(s, np.nan, np.full(len(s), np.nan), None, type(exc).__name__)
-    return _CandidateEvaluation(s, indep.p_value, recovery.significance_p, p_dist, None)
-
-
-def _verdict(ev: _CandidateEvaluation, f_class: FunctionClass, alpha: float) -> PlausibilityVerdict:
-    if ev.error is not None:
-        return PlausibilityVerdict(
-            ev.candidate, False, float("nan"), False, float("nan"), False, float("nan"),
-            plausible=False, reason=ev.error,
-        )
-    independent = ev.p_indep > alpha
-    p_sig_max = float(np.max(ev.p_sig))
-    significant = p_sig_max < alpha
-    if f_class.skip_distribution:
-        uniform, p_dist = True, 1.0
-    else:
-        uniform, p_dist = ev.p_dist > alpha, float(ev.p_dist)
+        nan = float("nan")
+        return PlausibilityVerdict(s, False, nan, False, nan, False, nan, plausible=False, reason=type(exc).__name__)
+    p_indep, p_sig_max = float(indep.p_value), float(np.max(recovery.significance_p))
+    independent, significant, uniform = p_indep > cfg.alpha, p_sig_max < cfg.alpha, p_dist > cfg.alpha
     return PlausibilityVerdict(
-        ev.candidate,
-        independent,
-        float(ev.p_indep),
-        significant,
-        p_sig_max,
-        uniform,
-        p_dist,
+        s, independent, p_indep, significant, p_sig_max, uniform, float(p_dist),
         plausible=independent and significant and uniform,
     )
 
 
-def _score_row(ev: _CandidateEvaluation, cfg: DiscoveryConfig) -> ScoreRow:
-    if ev.error is not None:
-        return ScoreRow(ev.candidate, NEG_INF, NEG_INF, NEG_INF, NEG_INF)
-    independence = max(float(np.log(max(ev.p_indep, 1e-300))), LOG_P_FLOOR)
-    p_sig_max = float(np.max(ev.p_sig))
-    if cfg.significance_score == "one_minus_p_log":
-        significance = max(float(np.log(max(1.0 - p_sig_max, 1e-300))), LOG_P_FLOOR)
-    else:  # literal "minus the log of the maximum p-value"
-        significance = min(-float(np.log(max(p_sig_max, 1e-12))), -LOG_P_FLOOR)
-    distribution = 0.0 if ev.p_dist is None else max(float(np.log(max(ev.p_dist, 1e-300))), LOG_P_FLOOR)
+def _log_p(p: float) -> float:
+    """ln p, clamped at ``LOG_P_FLOOR`` so several hard-zero p-values still order."""
+    return max(float(np.log(max(p, 1e-300))), LOG_P_FLOOR)
+
+
+def _score_row(v: PlausibilityVerdict, cfg: DiscoveryConfig) -> ScoreRow:
+    """Score terms ln p_indep, ln(1 - p_sig_max) and ln p_dist, clamped at
+    ln(1e-12); a candidate whose fit failed gets a -inf total and ranks last."""
+    if v.reason is not None:
+        return ScoreRow(v.candidate, NEG_INF, NEG_INF, NEG_INF, NEG_INF)
+    independence = _log_p(v.p_indep)
+    significance = _log_p(1.0 - v.p_sig_max)
+    distribution = _log_p(v.p_dist)
     l1, l2, l3 = cfg.lambdas
     total = l1 * independence + l2 * significance + l3 * distribution
-    return ScoreRow(ev.candidate, independence, significance, distribution, total)
+    return ScoreRow(v.candidate, independence, significance, distribution, total)
 
 
 def check_plausibility(
     data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig | None = None
 ) -> PlausibilityVerdict:
     """Run the class-appropriate noise recovery and answer the three questions."""
-    cfg = cfg or DiscoveryConfig()
-    return _verdict(_evaluate_candidate(data, s, f_class, cfg), f_class, cfg.alpha)
-
-
-def score_set(
-    data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig | None = None
-) -> ScoreRow:
-    """Log-p-value score components for one candidate set.
-
-    Components are clamped at ln(1e-12) so several hard-zero p-values still
-    order; a candidate the fit cannot even evaluate gets a -inf total and
-    ranks last.
-    """
-    cfg = cfg or DiscoveryConfig()
-    return _score_row(_evaluate_candidate(data, s, f_class, cfg), cfg)
+    return _evaluate_candidate(data, s, f_class, cfg or DiscoveryConfig())
 
 
 def select_score_estimate(rows: list[ScoreRow]) -> CandidateSet:
@@ -183,24 +146,17 @@ def analyze(
     cfg = cfg or DiscoveryConfig()
     if mode not in ("isd", "score", "both"):
         raise BadParam(f"unknown mode {mode!r}")
-    if data.p > cfg.max_p:
-        raise TooManyCovariates(f"p={data.p} exceeds max_p={cfg.max_p}")
     if f_class.kind != "linear" and data.p > SMOOTHER_DIM_CAP:
         # the full set could never be fitted; fail before any candidate is
         raise TooManyCovariates(
             f"p={data.p} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP} for the {f_class.label} class"
         )
 
-    evaluations = [
-        _evaluate_candidate(data, s, f_class, cfg)
-        for s in enumerate_candidates(data.p, cfg.max_p)
-    ]
+    verdicts = [_evaluate_candidate(data, s, f_class, cfg) for s in enumerate_candidates(data.p, cfg.max_p)]
 
     isd_estimate = None
     plausible_sets = None
-    verdicts = None
     if mode in ("isd", "both"):
-        verdicts = [_verdict(ev, f_class, cfg.alpha) for ev in evaluations]
         plausible_sets = [v.candidate for v in verdicts if v.plausible]
         if plausible_sets:
             common = set(plausible_sets[0].members)
@@ -213,7 +169,7 @@ def analyze(
     score_table = None
     score_estimate = None
     if mode in ("score", "both"):
-        score_table = [_score_row(ev, cfg) for ev in evaluations]
+        score_table = [_score_row(v, cfg) for v in verdicts]
         score_estimate = select_score_estimate(score_table)
 
     return DiscoveryResult(
@@ -242,7 +198,7 @@ def score_search(data: Dataset, f_class: FunctionClass, cfg: DiscoveryConfig | N
     return analyze(data, f_class, cfg, mode="score")
 
 
-def empty_parent_test(data: Dataset, family: str, cfg: DiscoveryConfig | None = None) -> TestResult:
+def empty_parent_test(data: Dataset, family: str) -> TestResult:
     """Can the target's marginal be the family with constant parameters?
 
     Fits global parameters, transforms u = F(y; theta_hat), and tests
@@ -333,17 +289,19 @@ def _config_dict(cfg: DiscoveryConfig, f_class: FunctionClass) -> dict:
         "significance_permutations": cfg.significance_permutations,
         "smoother": {
             "penalty_grid": list(cfg.smoother.penalty_grid),
-            "bandwidth_rule": cfg.smoother.bandwidth_rule,
+            "bandwidth_rule": "silverman",
             "sigma_floor": cfg.smoother.sigma_floor,
         },
         "max_p": cfg.max_p,
-        "significance_score": cfg.significance_score,
+        "significance_score": "one_minus_p_log",
     }
 
 
 def result_to_json(result: DiscoveryResult) -> str:
     """Serialize with a fixed schema: isd_estimate, plausible_sets,
-    score_table, score_estimate, config, seed."""
+    score_table, score_estimate, config, seed.  ``config`` also names the one
+    procedure implemented: ``"bandwidth_rule": "silverman"`` and the ln(1 - p)
+    significance term, ``"significance_score": "one_minus_p_log"``."""
     doc = {
         "isd_estimate": list(result.isd_estimate) if result.isd_estimate is not None else None,
         "plausible_sets": (

@@ -267,18 +267,15 @@ class SmootherConfig:
 
     ``penalty_grid`` lists the candidate roughness penalties for the
     spline smoother (chosen by two-fold cross-validation on standardized
-    data).  ``bandwidth_rule`` governs the kernel-local parametric fits:
-    Silverman's per-covariate rule 1.06 * sd * n^(-1/(4+d)), or a
-    leave-one-out rescaling of it.
+    data).  The kernel-local parametric fits take no setting: their
+    bandwidths follow Silverman's per-covariate rule
+    1.06 * sd * n^(-1/(4+d)), rescaled by a fixed factor.
     """
 
     penalty_grid: tuple[float, ...] = (1e-2, 1e-1, 1e0, 1e1, 1e2)
-    bandwidth_rule: str = "silverman"  # or "cv"
     sigma_floor: float | None = None  # None -> 1e-6 * sd(y)
 
     def __post_init__(self):
-        if self.bandwidth_rule not in ("silverman", "cv"):
-            raise BadParam(f"unknown bandwidth rule {self.bandwidth_rule!r}")
         if len(self.penalty_grid) == 0 or any(p < 0 for p in self.penalty_grid):
             raise BadParam("penalty_grid must be non-empty and non-negative")
         if self.sigma_floor is not None and self.sigma_floor <= 0:
@@ -297,7 +294,6 @@ class DiscoveryConfig:
     significance_permutations: int = 99
     smoother: SmootherConfig = SmootherConfig()
     max_p: int = 12
-    significance_score: str = "one_minus_p_log"
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -312,8 +308,6 @@ class DiscoveryConfig:
             raise BadParam(f"hsic_permutations must be at least 1, got {self.hsic_permutations}")
         if self.significance_permutations < 50:
             raise BadParam(f"significance_permutations must be at least 50, got {self.significance_permutations}")
-        if self.significance_score not in ("one_minus_p_log", "neg_log_p"):
-            raise BadParam(f"unknown significance_score {self.significance_score!r}")
 
 
 @dataclass(frozen=True)

@@ -131,26 +131,6 @@ def _log_kernel_factors(x_tr: np.ndarray, x_ev: np.ndarray, hs: np.ndarray) -> n
     return out
 
 
-def _select_bandwidths(x: np.ndarray, y: np.ndarray, rule: str) -> np.ndarray:
-    d = x.shape[1]
-    base = np.array([_silverman(x[:, j], d) for j in range(d)])
-    if rule == "silverman":
-        return base
-    # leave-one-out rescaling using the locally constant fit
-    best, best_err = base, np.inf
-    for mult in (0.25, 0.5, 1.0, 2.0, 4.0):
-        w = np.exp(_log_kernel_factors(x, x, mult * base).sum(axis=0))
-        sw = w.sum(axis=1)
-        keep = sw > 1.0 + 1e-12  # own kernel weight is exactly 1
-        if not keep.any():
-            continue
-        pred = ((w @ y) - y)[keep] / (sw[keep] - 1.0)
-        err = float(np.mean((y[keep] - pred) ** 2))
-        if err < best_err:
-            best, best_err = mult * base, err
-    return best
-
-
 class _CpcmLocalEvaluator:
     """Permutation losses from the per-column log-kernel factors: permuting
     one column swaps one factor, so no kernel is rebuilt."""
@@ -177,13 +157,12 @@ CPCM_BANDWIDTH_SCALE = 0.8
 class _CpcmLocalModel:
     """Kernel-weighted local parameter estimates for Pareto and Gamma families."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, family: str, cfg: SmootherConfig):
+    def __init__(self, x: np.ndarray, y: np.ndarray, family: str):
         self.family = family
         self.x_train = x
         self.y_train = y
-        self.bandwidths = CPCM_BANDWIDTH_SCALE * _select_bandwidths(
-            x, np.log(y) if family == "pareto" else y, cfg.bandwidth_rule
-        )
+        d = x.shape[1]
+        self.bandwidths = CPCM_BANDWIDTH_SCALE * np.array([_silverman(x[:, j], d) for j in range(d)])
         if family == "pareto":
             self._log_y = np.log(y)
 
@@ -378,7 +357,7 @@ def fit_cpcm(
         residuals = z  # the independence question sees the standardized scale
     else:
         x = data.covariates(s)
-        model = _CpcmLocalModel(x, y, family, cfg)
+        model = _CpcmLocalModel(x, y, family)
         if family == "pareto":
             theta = model.theta(x)
             eps = 1.0 - y ** (-theta)
@@ -389,7 +368,7 @@ def fit_cpcm(
             eps = gamma_dist.cdf(y, a=shape, scale=scale)
             fit_loss = float(np.mean((y - shape * scale) ** 2))
         sig = stattests.perm_significance(
-            data, s, lambda xt, yt: _CpcmLocalModel(xt, yt, family, cfg), n_perm=n_perm, seed=seed
+            data, s, lambda xt, yt: _CpcmLocalModel(xt, yt, family), n_perm=n_perm, seed=seed
         )
         eps = residuals = np.clip(eps, EPS_CLIP, 1.0 - EPS_CLIP)
     return NoiseRecovery(

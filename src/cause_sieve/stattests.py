@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincc, kolmogorov
+from scipy.special import gammaincc
 
 from . import seeding
 from .errors import BadParam, ConstantInput, OutOfRange, TooFewRows
@@ -201,19 +201,6 @@ def _ad_p_value(a2: float) -> float:
     else:
         cdf = np.exp(-np.exp(1.0776 - (2.30695 - (0.43424 - (0.082433 - (0.008056 - 0.0003146 * z) * z) * z) * z) * z))
     return float(min(max(1.0 - cdf, 0.0), 1.0))
-
-
-def ks_uniform_test(u) -> TestResult:
-    """One-sample Kolmogorov-Smirnov test of U(0,1), asymptotic p-value."""
-    u = _check_unit_interval(u)
-    n = u.size
-    s = np.sort(u)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - s)
-    d_minus = np.max(s - (i - 1) / n)
-    d = float(max(d_plus, d_minus))
-    p = float(kolmogorov(np.sqrt(n) * d))
-    return TestResult(statistic=d, p_value=p, method="kolmogorov-smirnov")
 
 
 class _PermutedLoss:

@@ -119,6 +119,23 @@ class TestVerifyCommand:
         assert rc == (0 if report["pass"] else 1)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--grid", "c:a:b", "gamma:0:1"],
+        ["simulate", "--steps", "-1", "2"],
+        ["bench", "--benchmark", "1", "--reps", "0"],
+        ["verify", "--check", "gamma-exception", "--n", "0", "--reps", "0"],
+        ["verify", "--check", "cool-lemma:abc"],
+    ],
+)
+def test_malformed_numeric_flag_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestSeedEnvFallback:
     def test_env_seed_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAUSE_SIEVE_SEED", "21")

@@ -157,7 +157,7 @@ class TestFitCpcm:
         rng = seeding.substream(6, 905)
         y = (1.0 - rng.random(300)) ** (-1.0 / 2.0)
         x = rng.standard_normal((300, 1))
-        model = _CpcmLocalModel(x, y, "pareto", SmootherConfig())
+        model = _CpcmLocalModel(x, y, "pareto")
         model.bandwidths = np.array([1e6])  # effectively uniform weights
         theta = model.theta(x)
         np.testing.assert_allclose(theta, 1.0 / np.mean(np.log(y)), rtol=1e-6)
@@ -249,7 +249,7 @@ class TestPermutationEvaluator:
             y = (1.0 - rng.random(200)) ** (-1.0 / (2.0 + np.tanh(x[:, 0])))
         else:
             y = rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5)
-        model = _CpcmLocalModel(x[:100], y[:100], family, SmootherConfig())
+        model = _CpcmLocalModel(x[:100], y[:100], family)
         ev = permutation_evaluator(model, x[100:], y[100:])
         assert isinstance(ev, _CpcmLocalEvaluator)
         for pos in range(2):

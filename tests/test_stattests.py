@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.stats import kstest
 
 from cause_sieve import seeding
 from cause_sieve.errors import BadParam, ConstantInput, OutOfRange, TooFewRows
@@ -10,7 +9,6 @@ from cause_sieve.stattests import (
     _product_rbf_kernel,
     ad_uniform_test,
     hsic_test,
-    ks_uniform_test,
     perm_significance,
 )
 
@@ -100,36 +98,6 @@ class TestAndersonDarling:
         zs = np.concatenate([np.linspace(0.01, 5, 200), np.linspace(5, 600, 100)])
         ps = [_ad_p_value(z) for z in zs]
         assert all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
-
-
-class TestKolmogorovSmirnov:
-    def test_single_point(self):
-        assert ks_uniform_test([0.5]).statistic == pytest.approx(0.5)
-
-    def test_grid_geometry(self):
-        u = (np.arange(1, 101) - 0.5) / 100
-        assert ks_uniform_test(u).statistic == pytest.approx(0.005)
-
-    def test_beta_rejected(self):
-        rejections = 0
-        for seed in range(10):
-            u = np.random.default_rng(seed).beta(2.0, 2.0, 500)
-            rejections += ks_uniform_test(u).p_value < 0.01
-        assert rejections >= 9
-
-    def test_p_matches_scipy(self):
-        u = np.random.default_rng(6).uniform(size=250)
-        ours = ks_uniform_test(u)
-        ref = kstest(u, "uniform")
-        assert ours.statistic == pytest.approx(ref.statistic)
-        assert ours.p_value == pytest.approx(ref.pvalue, abs=0.02)
-
-    def test_monotone(self):
-        u1 = (np.arange(1, 51) - 0.5) / 50
-        u2 = np.clip(u1**1.5, 1e-9, 1 - 1e-9)
-        r1, r2 = ks_uniform_test(u1), ks_uniform_test(u2)
-        assert r2.statistic > r1.statistic
-        assert r2.p_value < r1.p_value
 
 
 class TestPermSignificance:
