@@ -26,7 +26,6 @@ from .model import (
     DiscoveryConfig,
     FunctionClass,
     NoiseRecovery,
-    SmootherConfig,
     enumerate_candidates,
     load_csv,
     pit_rescale,
@@ -74,7 +73,6 @@ __all__ = [
     "PerlinFunction",
     "PlausibilityVerdict",
     "ScoreRow",
-    "SmootherConfig",
     "StatError",
     "TestResult",
     "TheoryCheckReport",

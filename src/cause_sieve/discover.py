@@ -20,14 +20,15 @@ from . import seeding
 from .errors import BadParam, DomainViolation, StatError, TooManyCovariates
 from .jsonout import json_value
 from .model import (
+    MAX_P,
     CandidateSet,
     Dataset,
     DiscoveryConfig,
     FunctionClass,
     enumerate_candidates,
 )
-from .regress import SMOOTHER_DIM_CAP, recover_noise
-from .stattests import LOG_P_FLOOR, TestResult, ad_uniform_test, hsic_test
+from .regress import PENALTY_GRID, SMOOTHER_DIM_CAP, recover_noise
+from .stattests import LOG_P_FLOOR, SIG_PERMUTATIONS, TestResult, ad_uniform_test, hsic_test
 
 NEG_INF = float("-inf")
 
@@ -70,25 +71,14 @@ class DiscoveryResult:
     score_estimate: CandidateSet | None = None
 
 
-def _evaluate_candidate(
-    data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig
+def check_plausibility(
+    data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig | None = None
 ) -> PlausibilityVerdict:
+    """Run the class-appropriate noise recovery and answer the three questions."""
+    cfg = cfg or DiscoveryConfig()
     try:
-        recovery = recover_noise(
-            data,
-            s,
-            f_class,
-            cfg.smoother,
-            n_perm=cfg.significance_permutations,
-            seed=seeding.child_seed(cfg.seed, f_class.code),
-        )
-        indep = hsic_test(
-            data.covariates(s),
-            recovery.residuals,
-            method=cfg.hsic_method,
-            n_perm=cfg.hsic_permutations,
-            seed=seeding.child_seed(cfg.seed, seeding.HSIC_PERM, f_class.code, *s.members),
-        )
+        recovery = recover_noise(data, s, f_class, seed=seeding.child_seed(cfg.seed, f_class.code))
+        indep = hsic_test(data.covariates(s), recovery.residuals)
         # a class that skips the uniformity question answers it with p = 1
         p_dist = 1.0 if f_class.skip_distribution else ad_uniform_test(recovery.eps).p_value
     except StatError as exc:
@@ -109,24 +99,17 @@ def _log_p(p: float) -> float:
     return max(float(np.log(max(p, 1e-300))), LOG_P_FLOOR)
 
 
-def _score_row(v: PlausibilityVerdict, cfg: DiscoveryConfig) -> ScoreRow:
+def _score_row(v: PlausibilityVerdict) -> ScoreRow:
     """Score terms ln p_indep, ln(1 - p_sig_max) and ln p_dist, clamped at
-    ln(1e-12); a candidate whose fit failed gets a -inf total and ranks last."""
+    ln(1e-12), and their plain sum; a candidate whose fit failed gets a -inf
+    total and ranks last."""
     if v.reason is not None:
         return ScoreRow(v.candidate, NEG_INF, NEG_INF, NEG_INF, NEG_INF)
     independence = _log_p(v.p_indep)
     significance = _log_p(1.0 - v.p_sig_max)
     distribution = _log_p(v.p_dist)
-    l1, l2, l3 = cfg.lambdas
-    total = l1 * independence + l2 * significance + l3 * distribution
+    total = independence + significance + distribution
     return ScoreRow(v.candidate, independence, significance, distribution, total)
-
-
-def check_plausibility(
-    data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig | None = None
-) -> PlausibilityVerdict:
-    """Run the class-appropriate noise recovery and answer the three questions."""
-    return _evaluate_candidate(data, s, f_class, cfg or DiscoveryConfig())
 
 
 def select_score_estimate(rows: list[ScoreRow]) -> CandidateSet:
@@ -152,7 +135,7 @@ def analyze(
             f"p={data.p} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP} for the {f_class.label} class"
         )
 
-    verdicts = [_evaluate_candidate(data, s, f_class, cfg) for s in enumerate_candidates(data.p, cfg.max_p)]
+    verdicts = [check_plausibility(data, s, f_class, cfg) for s in enumerate_candidates(data.p)]
 
     isd_estimate = None
     plausible_sets = None
@@ -169,7 +152,7 @@ def analyze(
     score_table = None
     score_estimate = None
     if mode in ("score", "both"):
-        score_table = [_score_row(v, cfg) for v in verdicts]
+        score_table = [_score_row(v) for v in verdicts]
         score_estimate = select_score_estimate(score_table)
 
     return DiscoveryResult(
@@ -280,19 +263,24 @@ def bench_replicates(generator, f_class: FunctionClass, reps: int, *, n: int, se
 
 
 def _config_dict(cfg: DiscoveryConfig, f_class: FunctionClass) -> dict:
+    """``alpha``, then the fixed procedure under the keys every result file
+    carries: equal score weights, the Gamma HSIC (500 is the permutation
+    method's default count, which the Gamma method does not use), the
+    spline penalties, the sd-relative sigma floor (null) and the enumeration
+    cap."""
     return {
         "function_class": f_class.label,
         "alpha": cfg.alpha,
-        "lambdas": list(cfg.lambdas),
-        "hsic_method": cfg.hsic_method,
-        "hsic_permutations": cfg.hsic_permutations,
-        "significance_permutations": cfg.significance_permutations,
+        "lambdas": [1.0, 1.0, 1.0],
+        "hsic_method": "gamma",
+        "hsic_permutations": 500,
+        "significance_permutations": SIG_PERMUTATIONS,
         "smoother": {
-            "penalty_grid": list(cfg.smoother.penalty_grid),
+            "penalty_grid": list(PENALTY_GRID),
             "bandwidth_rule": "silverman",
-            "sigma_floor": cfg.smoother.sigma_floor,
+            "sigma_floor": None,
         },
-        "max_p": cfg.max_p,
+        "max_p": MAX_P,
         "significance_score": "one_minus_p_log",
     }
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 
 MIN_ROWS = 20
+MAX_P = 12  # enumeration cap: 2^12 - 1 candidate sets
 
 KINDS = ("linear", "additive", "location-scale", "cpcm")
 FAMILIES = ("gaussian", "gamma", "pareto")
@@ -130,7 +131,6 @@ class Dataset:
 
     values: np.ndarray
     names: tuple[str, ...]
-    target_index: int = 0
 
     @property
     def n(self) -> int:
@@ -142,11 +142,11 @@ class Dataset:
 
     @property
     def y(self) -> np.ndarray:
-        return self.values[:, self.target_index]
+        return self.values[:, 0]
 
     @property
     def target_name(self) -> str:
-        return self.names[self.target_index]
+        return self.names[0]
 
     def covariates(self, s: CandidateSet) -> np.ndarray:
         """n x |s| matrix of the covariates in ``s`` (column order = sorted members)."""
@@ -247,13 +247,13 @@ def pit_rescale(residuals) -> np.ndarray:
     return (ranks - 0.5) / r.size
 
 
-def enumerate_candidates(p: int, max_p: int = 12) -> list[CandidateSet]:
+def enumerate_candidates(p: int) -> list[CandidateSet]:
     """All 2^p - 1 non-empty candidate sets, ascending cardinality then
     lexicographic.  The order is total and reproducible."""
     if p < 1:
         raise BadParam(f"need at least one covariate, got p={p}")
-    if p > max_p:
-        raise TooManyCovariates(f"p={p} exceeds the enumeration cap max_p={max_p}")
+    if p > MAX_P:
+        raise TooManyCovariates(f"p={p} exceeds the enumeration cap max_p={MAX_P}")
     out = []
     for size in range(1, p + 1):
         for combo in itertools.combinations(range(1, p + 1), size):
@@ -262,52 +262,30 @@ def enumerate_candidates(p: int, max_p: int = 12) -> list[CandidateSet]:
 
 
 @dataclass(frozen=True)
-class SmootherConfig:
-    """Settings for the smoothers behind the nonparametric fits.
+class DiscoveryConfig:
+    """The two settings of a run: the level ``alpha`` of every test and the
+    ``seed`` all random draws derive from.
 
-    ``penalty_grid`` lists the candidate roughness penalties for the
-    spline smoother (chosen by two-fold cross-validation on standardized
-    data).  The kernel-local parametric fits take no setting: their
-    bandwidths follow Silverman's per-covariate rule
-    1.06 * sd * n^(-1/(4+d)), rescaled by a fixed factor.
+    The rest of the procedure is fixed, each constant in one place:
+
+    - independence: HSIC with the Gamma approximation (``stattests.hsic_test``);
+    - significance: held-out permutation importance with
+      ``stattests.SIG_PERMUTATIONS`` permutations (``stattests.perm_significance``);
+    - uniformity: Anderson-Darling, for the parametric class only
+      (``stattests.ad_uniform_test``);
+    - the score: the plain sum of the three clamped log-p terms
+      (``discover._score_row``);
+    - the spline penalties ``regress.PENALTY_GRID`` and the location-scale
+      sigma floor 1e-6 * sd(y) (``regress._LocationScaleModel``);
+    - at most ``MAX_P`` covariates (``enumerate_candidates``).
     """
 
-    penalty_grid: tuple[float, ...] = (1e-2, 1e-1, 1e0, 1e1, 1e2)
-    sigma_floor: float | None = None  # None -> 1e-6 * sd(y)
-
-    def __post_init__(self):
-        if len(self.penalty_grid) == 0 or any(p < 0 for p in self.penalty_grid):
-            raise BadParam("penalty_grid must be non-empty and non-negative")
-        if self.sigma_floor is not None and self.sigma_floor <= 0:
-            raise BadParam("sigma_floor must be positive")
-
-
-@dataclass(frozen=True)
-class DiscoveryConfig:
-    """Settings shared by the plausibility checks and the score search."""
-
     alpha: float = 0.05
-    lambdas: tuple[float, float, float] = (1.0, 1.0, 1.0)
     seed: int = 0
-    hsic_method: str = "gamma"
-    hsic_permutations: int = 500
-    significance_permutations: int = 99
-    smoother: SmootherConfig = SmootherConfig()
-    max_p: int = 12
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise BadParam(f"alpha must be in (0,1), got {self.alpha}")
-        if len(self.lambdas) != 3 or any(l < 0 for l in self.lambdas):
-            raise BadParam(f"lambdas must be three non-negative weights, got {self.lambdas}")
-        if self.max_p > 20:
-            raise BadParam(f"max_p is capped at 20, got {self.max_p}")
-        if self.hsic_method not in ("gamma", "permutation"):
-            raise BadParam(f"unknown hsic method {self.hsic_method!r}")
-        if self.hsic_permutations < 1:
-            raise BadParam(f"hsic_permutations must be at least 1, got {self.hsic_permutations}")
-        if self.significance_permutations < 50:
-            raise BadParam(f"significance_permutations must be at least 50, got {self.significance_permutations}")
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ from scipy.stats import t as student_t
 
 from . import stattests
 from .errors import BadParam, DegenerateTheta, RankDeficient
-from .model import CandidateSet, Dataset, FunctionClass, NoiseRecovery, SmootherConfig, pit_rescale
+from .model import CandidateSet, Dataset, FunctionClass, NoiseRecovery, pit_rescale
 
 SMOOTHER_DIM_CAP = 6
+PENALTY_GRID = (1e-2, 1e-1, 1e0, 1e1, 1e2)  # spline roughness penalties, chosen by two-fold CV
 EPS_CLIP = 1e-12  # keeps parametric eps strictly inside (0,1)
 _TINY = np.finfo(float).tiny
 
@@ -43,7 +44,7 @@ class _MeanSmoother:
     spline's polynomial block singular; that surfaces as ``RankDeficient``.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, cfg: SmootherConfig):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         self._x_scale = np.std(x, axis=0)
         self._x_scale[self._x_scale == 0] = 1.0
         self._y_mean = float(np.mean(y))
@@ -53,9 +54,9 @@ class _MeanSmoother:
 
         try:
             even = np.arange(y.size) % 2 == 0
-            best, best_err = cfg.penalty_grid[0], np.inf
-            if y.size >= 8 and len(cfg.penalty_grid) > 1:
-                for lam in cfg.penalty_grid:
+            best, best_err = PENALTY_GRID[0], np.inf
+            if y.size >= 8:
+                for lam in PENALTY_GRID:
                     err = 0.0
                     for tr in (even, ~even):
                         f = RBFInterpolator(xn[tr], yn[tr], kernel="thin_plate_spline", smoothing=lam)
@@ -85,12 +86,12 @@ _LOG_CHI2_MEAN = -1.2703628454614782
 class _LocationScaleModel:
     """Two-stage heteroscedastic fit: mean, then log squared residuals."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, cfg: SmootherConfig):
-        self.floor = cfg.sigma_floor if cfg.sigma_floor is not None else 1e-6 * max(float(np.std(y)), _TINY)
-        self.mu_model = _MeanSmoother(x, y, cfg)
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.floor = 1e-6 * max(float(np.std(y)), _TINY)
+        self.mu_model = _MeanSmoother(x, y)
         resid = y - self.mu_model.fitted
         z = np.log(resid * resid + self.floor**2)
-        self.logvar_model = _MeanSmoother(x, z, cfg)
+        self.logvar_model = _MeanSmoother(x, z)
 
     def mu(self, x: np.ndarray) -> np.ndarray:
         return self.mu_model.predict(x)
@@ -268,23 +269,14 @@ def _check_dim(s: CandidateSet):
         raise BadParam(f"|s|={len(s)} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP}")
 
 
-def fit_additive(
-    data: Dataset,
-    s: CandidateSet,
-    cfg: SmootherConfig = SmootherConfig(),
-    *,
-    n_perm: int = 99,
-    seed: int = 0,
-) -> NoiseRecovery:
+def fit_additive(data: Dataset, s: CandidateSet, *, seed: int = 0) -> NoiseRecovery:
     """Spline conditional-mean fit, residuals rank-PIT rescaled."""
     _check_dim(s)
     x = data.covariates(s)
     y = data.y
-    model = _MeanSmoother(x, y, cfg)
+    model = _MeanSmoother(x, y)
     resid = y - model.fitted
-    sig = stattests.perm_significance(
-        data, s, lambda xt, yt: _MeanSmoother(xt, yt, cfg), n_perm=n_perm, seed=seed
-    )
+    sig = stattests.perm_significance(data, s, _MeanSmoother, seed=seed)
     return NoiseRecovery(
         eps=pit_rescale(resid),
         residuals=resid,
@@ -296,31 +288,22 @@ def fit_additive(
     )
 
 
-def _location_scale_fit(data: Dataset, s: CandidateSet, cfg: SmootherConfig, n_perm: int, seed: int):
+def _location_scale_fit(data: Dataset, s: CandidateSet, seed: int):
     """The location-scale fit behind both the location-scale class and the
     Gaussian cpcm family: (model, standardized residuals, mean-fit loss,
     significance p-values)."""
     x = data.covariates(s)
     y = data.y
-    model = _LocationScaleModel(x, y, cfg)
+    model = _LocationScaleModel(x, y)
     resid = y - model.mu_model.fitted
-    sig = stattests.perm_significance(
-        data, s, lambda xt, yt: _LocationScaleModel(xt, yt, cfg), n_perm=n_perm, seed=seed
-    )
+    sig = stattests.perm_significance(data, s, _LocationScaleModel, seed=seed)
     return model, resid / model.sigma_fitted(), float(np.mean(resid**2)), sig
 
 
-def fit_location_scale(
-    data: Dataset,
-    s: CandidateSet,
-    cfg: SmootherConfig = SmootherConfig(),
-    *,
-    n_perm: int = 99,
-    seed: int = 0,
-) -> NoiseRecovery:
+def fit_location_scale(data: Dataset, s: CandidateSet, *, seed: int = 0) -> NoiseRecovery:
     """Spline mean plus spline log-variance; standardized residuals PIT rescaled."""
     _check_dim(s)
-    model, std_resid, fit_loss, sig = _location_scale_fit(data, s, cfg, n_perm, seed)
+    model, std_resid, fit_loss, sig = _location_scale_fit(data, s, seed)
     return NoiseRecovery(
         eps=pit_rescale(std_resid),
         residuals=std_resid,
@@ -332,15 +315,7 @@ def fit_location_scale(
     )
 
 
-def fit_cpcm(
-    data: Dataset,
-    s: CandidateSet,
-    family: str,
-    cfg: SmootherConfig = SmootherConfig(),
-    *,
-    n_perm: int = 99,
-    seed: int = 0,
-) -> NoiseRecovery:
+def fit_cpcm(data: Dataset, s: CandidateSet, family: str, *, seed: int = 0) -> NoiseRecovery:
     """Conditionally parametric fit; eps is the parametric transform F(y; theta(x)).
 
     The transform is NOT rank rescaled: only the parametric class carries
@@ -352,7 +327,7 @@ def fit_cpcm(
     f_class.check_support(y)
 
     if family == "gaussian":
-        model, z, fit_loss, sig = _location_scale_fit(data, s, cfg, n_perm, seed)
+        model, z, fit_loss, sig = _location_scale_fit(data, s, seed)
         eps = np.clip(ndtr(z), EPS_CLIP, 1.0 - EPS_CLIP)
         residuals = z  # the independence question sees the standardized scale
     else:
@@ -367,9 +342,7 @@ def fit_cpcm(
             shape, scale = model.theta(x)
             eps = gamma_dist.cdf(y, a=shape, scale=scale)
             fit_loss = float(np.mean((y - shape * scale) ** 2))
-        sig = stattests.perm_significance(
-            data, s, lambda xt, yt: _CpcmLocalModel(xt, yt, family), n_perm=n_perm, seed=seed
-        )
+        sig = stattests.perm_significance(data, s, lambda xt, yt: _CpcmLocalModel(xt, yt, family), seed=seed)
         eps = residuals = np.clip(eps, EPS_CLIP, 1.0 - EPS_CLIP)
     return NoiseRecovery(
         eps=eps,
@@ -382,20 +355,12 @@ def fit_cpcm(
     )
 
 
-def recover_noise(
-    data: Dataset,
-    s: CandidateSet,
-    f_class: FunctionClass,
-    cfg: SmootherConfig = SmootherConfig(),
-    *,
-    n_perm: int = 99,
-    seed: int = 0,
-) -> NoiseRecovery:
+def recover_noise(data: Dataset, s: CandidateSet, f_class: FunctionClass, *, seed: int = 0) -> NoiseRecovery:
     """Dispatch to the class-appropriate fit."""
     if f_class.kind == "linear":
         return fit_linear(data, s)
     if f_class.kind == "additive":
-        return fit_additive(data, s, cfg, n_perm=n_perm, seed=seed)
+        return fit_additive(data, s, seed=seed)
     if f_class.kind == "location-scale":
-        return fit_location_scale(data, s, cfg, n_perm=n_perm, seed=seed)
-    return fit_cpcm(data, s, f_class.family, cfg, n_perm=n_perm, seed=seed)
+        return fit_location_scale(data, s, seed=seed)
+    return fit_cpcm(data, s, f_class.family, seed=seed)

@@ -21,6 +21,7 @@ from .errors import BadParam, ConstantInput, OutOfRange, TooFewRows
 from .model import CandidateSet, Dataset
 
 LOG_P_FLOOR = np.log(1e-12)
+SIG_PERMUTATIONS = 99  # permutations per covariate in the significance test
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,7 @@ def hsic_test(
     ``x`` is (n,) or (n, d) with non-constant columns; ``e`` is (n,).  The
     returned statistic is n*HSIC (biased estimator), which is what both the
     Gamma approximation and the permutation null are calibrated against.
+    ``n_perm`` and ``seed`` apply to ``method="permutation"`` only.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -230,7 +232,7 @@ def perm_significance(
     data: Dataset,
     s: CandidateSet,
     refit: Callable[[np.ndarray, np.ndarray], object],
-    n_perm: int = 99,
+    n_perm: int = SIG_PERMUTATIONS,
     seed: int = 0,
 ) -> np.ndarray:
     """Permutation-importance p-values, one per member of ``s``.

@@ -73,7 +73,7 @@ class TestCheckPlausibility:
                 a, b = getattr(single, name), getattr(v, name)
                 assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)), (s, name)
             if label == "linear":
-                assert _score_row(v, cfg).distribution == 0.0
+                assert _score_row(v).distribution == 0.0
 
 
 class TestIsd:
@@ -91,10 +91,10 @@ class TestIsd:
 
     def test_too_many_covariates(self):
         rng = seeding.substream(1, 777)
-        cols = [rng.standard_normal(60) for _ in range(4)]
+        cols = [rng.standard_normal(60) for _ in range(13)]
         data = table(rng.standard_normal(60), *cols)
         with pytest.raises(TooManyCovariates):
-            isd(data, FunctionClass("linear"), DiscoveryConfig(seed=0, max_p=3))
+            isd(data, FunctionClass("linear"), DiscoveryConfig(seed=0))
 
     def test_mode_validation(self):
         with pytest.raises(BadParam):
@@ -105,7 +105,7 @@ class TestScore:
     def _row(self, p_indep, p_sig_max, p_dist=1.0):
         # the plausibility flags do not enter the score
         v = PlausibilityVerdict(CandidateSet((1,)), True, p_indep, True, p_sig_max, True, p_dist, plausible=True)
-        return _score_row(v, DiscoveryConfig())
+        return _score_row(v)
 
     def test_perfect_scores_peak_at_zero(self):
         row = self._row(1.0, 0.0)
@@ -127,7 +127,7 @@ class TestScore:
     def test_error_scores_rank_last(self):
         nan = float("nan")
         v = PlausibilityVerdict(CandidateSet((2,)), False, nan, False, nan, False, nan, plausible=False, reason="DomainViolation")
-        bad = _score_row(v, DiscoveryConfig())
+        bad = _score_row(v)
         good = self._row(0.5, 0.01)
         assert bad.total == float("-inf")
         assert select_score_estimate([bad, good]).members == (1,)

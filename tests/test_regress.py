@@ -6,7 +6,6 @@ from cause_sieve import seeding
 from cause_sieve.errors import BadParam, DomainViolation, RankDeficient
 from cause_sieve.model import CandidateSet
 from cause_sieve.regress import (
-    SmootherConfig,
     _CpcmLocalEvaluator,
     _CpcmLocalModel,
     _LocationScaleModel,
@@ -234,7 +233,7 @@ class TestPermutationEvaluator:
         rng = seeding.substream(0, 910)
         x = rng.standard_normal((200, 2))
         y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, 1] ** 2) * rng.standard_normal(200)
-        model = model_cls(x[:100], y[:100], SmootherConfig())
+        model = model_cls(x[:100], y[:100])
         ev = permutation_evaluator(model, x[100:], y[100:])
         assert isinstance(ev, _PermutedLoss)
         assert ev.baseline == model.loss(x[100:], y[100:])

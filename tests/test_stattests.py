@@ -4,7 +4,7 @@ import pytest
 from cause_sieve import seeding
 from cause_sieve.errors import BadParam, ConstantInput, OutOfRange, TooFewRows
 from cause_sieve.model import CandidateSet
-from cause_sieve.regress import _MeanSmoother, SmootherConfig
+from cause_sieve.regress import _MeanSmoother
 from cause_sieve.stattests import (
     _product_rbf_kernel,
     ad_uniform_test,
@@ -64,6 +64,17 @@ class TestHsic:
             expo += (d * d) / (2.0 * h * h)
         np.testing.assert_array_equal(_product_rbf_kernel(x), np.exp(-expo))
 
+    def test_gamma_matches_permutation_reference(self):
+        # the permutation null is the reference the Gamma approximation is
+        # held to, across independent and weakly dependent pairs
+        for seed in range(20):
+            rng = seeding.substream(seed, 920)
+            x = rng.standard_normal((150, 2))
+            e = rng.standard_normal(150) + 0.1 * (seed % 4) * x[:, 0] * x[:, 1]
+            p_gamma = hsic_test(x, e).p_value
+            p_perm = hsic_test(x, e, method="permutation", n_perm=999, seed=seed).p_value
+            assert abs(p_gamma - p_perm) <= 0.1, (seed, p_gamma, p_perm)
+
     def test_permutation_p_on_grid(self):
         rng = np.random.default_rng(5)
         res = hsic_test(rng.standard_normal(60), rng.standard_normal(60), method="permutation", n_perm=99, seed=1)
@@ -108,7 +119,6 @@ class TestPermSignificance:
             perm_significance(data, CandidateSet((1,)), lambda x, y: None, n_perm=49)
 
     def test_strong_and_null_covariates(self):
-        cfg = SmootherConfig()
         strong_min = 0
         null_ok = 0
         for seed in range(20):
@@ -116,7 +126,7 @@ class TestPermSignificance:
             x = rng.standard_normal((400, 2))
             y = x[:, 0] + 0.3 * rng.standard_normal(400)
             data = table(y, x[:, 0], x[:, 1])
-            p = perm_significance(data, CandidateSet((1, 2)), lambda xt, yt: _MeanSmoother(xt, yt, cfg), n_perm=99, seed=seed)
+            p = perm_significance(data, CandidateSet((1, 2)), _MeanSmoother, n_perm=99, seed=seed)
             strong_min += p[0] == pytest.approx(1 / 100)
             null_ok += p[1] > 0.05
         assert strong_min == 20
