@@ -24,6 +24,7 @@ from . import seeding, verify
 from .discover import DiscoveryConfig, analyze, bench_replicates, replicate, save_result
 from .errors import StatError, ValidationError
 from .model import FunctionClass, load_csv
+from .parallel import available_cores
 from .synth import GENERATORS, gen_additive_grid, gen_linear_chain, write_generated
 
 SEED_ENV_VAR = "CAUSE_SIEVE_SEED"
@@ -67,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="discovery_result.json", help="path for the result JSON")
+    p.add_argument("--jobs", type=int, default=0, help="threads for candidate evaluation (0 = all cores)")
 
     p = sub.add_parser("bench", help="replicate one benchmark and report accuracy metrics")
     p.add_argument("--benchmark", required=True, help="1, 2, or 3")
@@ -115,15 +117,23 @@ def _check_count(flag: str, value: int | None) -> None:
         raise ValidationError(f"{flag} must be at least 1, got {value}")
 
 
+def _jobs_of(args) -> int | None:
+    """``--jobs``: a worker count, or 0 for every available core (None)."""
+    if args.jobs < 0:
+        raise ValidationError(f"--jobs must be 0 (all cores) or positive, got {args.jobs}")
+    return args.jobs or None
+
+
 def cmd_discover(args) -> int:
     seed = _seed_of(args)
+    jobs = _jobs_of(args)
     f_class = FunctionClass.parse(args.f_class)
     data = load_csv(args.csv, args.target)
     # a support violation of the target makes every candidate unfittable,
     # so fail the whole run instead of reporting a vacuous empty search
     f_class.check_support(data.y)
     cfg = DiscoveryConfig(alpha=args.alpha, seed=seed)
-    result = analyze(data, f_class, cfg, mode=args.mode)
+    result = analyze(data, f_class, cfg, mode=args.mode, jobs=jobs)
     save_result(result, args.out)
     names = {i: data.names[i] for i in range(1, data.p + 1)}
     if result.isd_estimate is not None:
@@ -142,9 +152,11 @@ def cmd_discover(args) -> int:
 _BENCH = {"1": "additive", "2": "additive", "3": "cpcm:pareto"}
 
 
-def _run_replicates(fn, reps: int, jobs: int):
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
+def _run_replicates(fn, reps: int, jobs: int | None):
+    """``[fn(r) for r in range(reps)]`` on a pool of at most ``jobs`` worker
+    processes (None: every available core)."""
+    if jobs is None:
+        jobs = available_cores()
     if jobs > 1 and reps > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -157,6 +169,7 @@ def cmd_bench(args) -> int:
     if args.benchmark not in _BENCH:
         raise ValidationError(f"unknown benchmark {args.benchmark!r}; expected 1, 2, or 3")
     _check_count("--reps", args.reps)
+    jobs = _jobs_of(args)
     seed = _seed_of(args)
     f_class_label = args.f_class or _BENCH[args.benchmark]
     _, summary = bench_replicates(
@@ -165,7 +178,7 @@ def cmd_bench(args) -> int:
         args.reps,
         n=args.n,
         seed=seed,
-        run=partial(_run_replicates, jobs=args.jobs),
+        run=partial(_run_replicates, jobs=jobs),
     )
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -196,9 +209,10 @@ def _parse_range(token: str, name: str) -> tuple[float, float]:
 
 
 def simulate_cell(c: float, gamma: float, rep: int, n: int, seed: int) -> int:
-    """Number of true parents recovered by the additive sieve on one draw."""
+    """Number of true parents recovered by the additive sieve on one draw,
+    analysed on one thread: the cells themselves run in parallel."""
     generator = partial(gen_additive_grid, c=c, gamma=gamma)
-    true_pa, est, _ = replicate(generator, FunctionClass("additive"), rep, n=n, seed=seed, mode="isd")
+    true_pa, est, _ = replicate(generator, FunctionClass("additive"), rep, n=n, seed=seed, mode="isd", jobs=1)
     return len(set(est) & set(true_pa))
 
 
@@ -214,12 +228,13 @@ def cmd_simulate(args) -> int:
     g_lo, g_hi = _parse_range(args.grid[1], "gamma")
     _check_count("--steps", min(args.steps))
     _check_count("--reps", args.reps)
+    jobs = _jobs_of(args)
     c_vals = np.linspace(c_lo, c_hi, args.steps[0])
     g_vals = np.linspace(g_lo, g_hi, args.steps[1])
 
     cells = [(float(c), float(g)) for c in c_vals for g in g_vals]
     runner = partial(_simulate_chunk, cells=cells, reps=args.reps, n=args.n, seed=seed)
-    chunks = _run_replicates(runner, len(cells), args.jobs)
+    chunks = _run_replicates(runner, len(cells), jobs)
     rows = [row for chunk in chunks for row in chunk]
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

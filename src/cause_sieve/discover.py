@@ -27,6 +27,7 @@ from .model import (
     FunctionClass,
     enumerate_candidates,
 )
+from .parallel import thread_map
 from .regress import PENALTY_GRID, SMOOTHER_DIM_CAP, recover_noise
 from .stattests import LOG_P_FLOOR, SIG_PERMUTATIONS, TestResult, ad_uniform_test, hsic_test
 
@@ -124,8 +125,20 @@ def analyze(
     f_class: FunctionClass,
     cfg: DiscoveryConfig | None = None,
     mode: str = "both",
+    jobs: int | None = None,
 ) -> DiscoveryResult:
-    """Evaluate every candidate once and derive the requested estimates."""
+    """Evaluate every candidate once and derive the requested estimates.
+
+    The candidates are evaluated concurrently on at most ``jobs`` threads
+    (None: every core this process may use, see
+    :func:`parallel.available_cores`), the calling thread among them, with
+    the largest sets started first.  Each candidate seeds its own
+    substreams, so the verdicts and the result JSON do not depend on
+    ``jobs``.  Memory grows with the threads: each concurrent HSIC holds two
+    (n, n) float arrays, 64 MB at n=2000.  A ``StatError`` marks its
+    candidate implausible; any other exception stops the search and is
+    raised here after every helper thread has finished.
+    """
     cfg = cfg or DiscoveryConfig()
     if mode not in ("isd", "score", "both"):
         raise BadParam(f"unknown mode {mode!r}")
@@ -135,7 +148,10 @@ def analyze(
             f"p={data.p} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP} for the {f_class.label} class"
         )
 
-    verdicts = [check_plausibility(data, s, f_class, cfg) for s in enumerate_candidates(data.p)]
+    evaluate = partial(check_plausibility, data, f_class=f_class, cfg=cfg)
+    # enumerate_candidates ascends in |S|, so the reversed list starts the
+    # largest, slowest fits first and the threads finish close together
+    verdicts = thread_map(evaluate, enumerate_candidates(data.p)[::-1], jobs)[::-1]
 
     isd_estimate = None
     plausible_sets = None
@@ -227,14 +243,14 @@ def metrics(true_pa, estimates) -> tuple[float, float]:
     return 100.0 * float(np.mean(correct)), 100.0 * float(np.mean(no_false))
 
 
-def replicate(generator, f_class: FunctionClass, rep: int, *, n: int, seed: int, mode: str = "both"):
+def replicate(generator, f_class: FunctionClass, rep: int, *, n: int, seed: int, mode: str = "both", jobs: int | None = None):
     """One benchmark replicate: draw ``generator(child_seed(seed, REPLICATE, rep), n)``,
-    analyse it with ``DiscoveryConfig(seed=child_seed(seed, BOOT, rep))``, and
-    return ``(true_pa, isd_estimate, score_estimate)``; an estimate the mode
-    skips is None."""
+    analyse it with ``DiscoveryConfig(seed=child_seed(seed, BOOT, rep))`` on
+    ``jobs`` threads, and return ``(true_pa, isd_estimate, score_estimate)``;
+    an estimate the mode skips is None."""
     gd = generator(seeding.child_seed(seed, seeding.REPLICATE, rep), n)
     cfg = DiscoveryConfig(seed=seeding.child_seed(seed, seeding.BOOT, rep))
-    result = analyze(gd.data, f_class, cfg, mode=mode)
+    result = analyze(gd.data, f_class, cfg, mode=mode, jobs=jobs)
     score = None if result.score_estimate is None else tuple(result.score_estimate.members)
     return gd.true_pa, result.isd_estimate, score
 
@@ -243,11 +259,13 @@ def bench_replicates(generator, f_class: FunctionClass, reps: int, *, n: int, se
     """Replicate a benchmark ``reps`` times and average the two metrics.
 
     ``run(fn, reps)`` maps the one-replicate function over ``range(reps)``
-    (a process pool, say); by default the replicates run in order.  Returns
-    the per-replicate rows of :func:`replicate` and, for each algorithm the
-    mode runs, ``{algorithm: (correct-causes %, no-false-positives %)}``.
+    (a process pool, say), and then each replicate analyses on one thread,
+    so parallelism stays one level deep; by default the replicates run in
+    order, each analysed on every core.  Returns the per-replicate rows of
+    :func:`replicate` and, for each algorithm the mode runs,
+    ``{algorithm: (correct-causes %, no-false-positives %)}``.
     """
-    fn = partial(replicate, generator, f_class, n=n, seed=seed, mode=mode)
+    fn = partial(replicate, generator, f_class, n=n, seed=seed, mode=mode, jobs=1 if run else None)
     rows = run(fn, reps) if run else [fn(rep) for rep in range(reps)]
     summary = {}
     for algorithm, idx in (("isd", 1), ("score", 2)):

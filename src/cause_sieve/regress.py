@@ -122,13 +122,21 @@ def _silverman(x: np.ndarray, dim: int) -> float:
     return 1.06 * sd * x.size ** (-1.0 / (4.0 + dim))
 
 
+def _log_kernel(col_tr: np.ndarray, col_ev: np.ndarray, h: float) -> np.ndarray:
+    """(m, n) Gaussian log-kernel of one column, -(diff^2) / (2 h^2), built in place."""
+    diff = col_tr[None, :] - col_ev[:, None]
+    np.multiply(diff, diff, out=diff)
+    np.negative(diff, out=diff)
+    diff /= 2.0 * h * h
+    return diff
+
+
 def _log_kernel_factors(x_tr: np.ndarray, x_ev: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """(d, m, n) array of per-column Gaussian log-kernels."""
     d = x_tr.shape[1]
     out = np.empty((d, x_ev.shape[0], x_tr.shape[0]))
     for j in range(d):
-        diff = x_tr[None, :, j] - x_ev[:, None, j]
-        out[j] = -(diff * diff) / (2.0 * hs[j] * hs[j])
+        out[j] = _log_kernel(x_tr[:, j], x_ev[:, j], hs[j])
     return out
 
 
@@ -194,8 +202,16 @@ class _CpcmLocalModel:
         return mu * mu / var, var / mu
 
     def theta(self, x_ev: np.ndarray):
-        """Local parameters at the evaluation points (see ``_local_params``)."""
-        return self._local_params(np.exp(self.log_factors(x_ev).sum(axis=0)))
+        """Local parameters at the evaluation points (see ``_local_params``).
+
+        The per-column log-kernels are summed into one (m, n) array in
+        column order, the order ``log_factors(x_ev).sum(axis=0)`` adds them,
+        and exponentiated in place.
+        """
+        logw = _log_kernel(self.x_train[:, 0], x_ev[:, 0], self.bandwidths[0])
+        for j in range(1, x_ev.shape[1]):
+            logw += _log_kernel(self.x_train[:, j], x_ev[:, j], self.bandwidths[j])
+        return self._local_params(np.exp(logw, out=logw))
 
     def nll(self, w: np.ndarray, y: np.ndarray) -> float:
         """Mean negative log-likelihood of ``y`` under the parameters the weights give."""

@@ -37,51 +37,80 @@ class TestResult:
             raise BadParam(f"p-value {self.p_value} outside [0, 1]")
 
 
-def _median_bandwidth(col: np.ndarray) -> float:
+def _median_bandwidth(col: np.ndarray, scratch: np.ndarray) -> float:
     """Median heuristic: median of the non-zero pairwise absolute distances.
 
     The distances are taken lag by lag along the sorted column, so every
     pair appears once and no (n, n) matrix is built; ``s[i + k] - s[i]`` is
-    the same float as ``|col[a] - col[b]|`` for that pair.
+    the same float as ``|col[a] - col[b]|`` for that pair.  They are written
+    to the front of ``scratch``, a flat buffer of at least n(n-1)/2 floats.
     """
     s = np.sort(col)
     n = s.size
-    dist = np.empty(n * (n - 1) // 2)
+    dist = scratch[: n * (n - 1) // 2]
     at = 0
     for k in range(1, n):
         np.subtract(s[k:], s[:-k], out=dist[at : at + n - k])
         at += n - k
-    if np.any(s[1:] == s[:-1]):  # ties give zero distances
-        dist = dist[dist > 0]
-    if dist.size == 0:
+    zeros = dist.size - np.count_nonzero(dist)  # one per tied pair
+    if zeros == dist.size:
         raise ConstantInput("all pairwise distances are zero")
+    if zeros:
+        # partitioning moves the zeros to the front, in place; the median
+        # depends only on the values, not on where they sit
+        dist.partition(zeros)
+        dist = dist[zeros:]
     return float(np.median(dist, overwrite_input=True))
 
 
-def _product_rbf_kernel(x: np.ndarray) -> np.ndarray:
-    """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2)).
+_KERNEL_BLOCK_ROWS = 128  # rows per block when a further column joins the exponent
 
-    The exponent is built in place, one (n, n) array per column; dividing
-    by the negated denominator gives the same floats as negating after.
+
+def _product_rbf_kernel(x: np.ndarray) -> np.ndarray:
+    """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2)), one
+    median-heuristic bandwidth per column.
+
+    One (n, n) array is allocated and returned.  Every bandwidth is taken
+    first, with its pairwise distances in that array's memory; then the
+    first column's exponent is built in place there, and each further
+    column is added block by block of rows, so no second (n, n) array
+    exists.  Dividing by the negated denominator gives the same floats as
+    negating after.
     """
-    expo = None
-    for j in range(x.shape[1]):
+    n = x.shape[0]
+    expo = np.empty((n, n))
+    bandwidths = [_median_bandwidth(x[:, j], expo.reshape(-1)) for j in range(x.shape[1])]
+    for j, h in enumerate(bandwidths):
         col = x[:, j]
-        h = _median_bandwidth(col)
-        d = col[:, None] - col[None, :]
-        np.multiply(d, d, out=d)
-        d /= -(2.0 * h * h)
-        if expo is None:
-            expo = d
-        else:
-            expo += d
+        denom = -(2.0 * h * h)
+        if j == 0:
+            np.subtract(col[:, None], col[None, :], out=expo)
+            np.multiply(expo, expo, out=expo)
+            expo /= denom
+            continue
+        for lo in range(0, n, _KERNEL_BLOCK_ROWS):
+            d = col[lo : lo + _KERNEL_BLOCK_ROWS, None] - col[None, :]
+            np.multiply(d, d, out=d)
+            d /= denom
+            expo[lo : lo + _KERNEL_BLOCK_ROWS] += d
     return np.exp(expo, out=expo)
 
 
-def _centered(k: np.ndarray) -> np.ndarray:
-    k = k - k.mean(axis=0, keepdims=True)
+def _off_diagonal_mean(k: np.ndarray) -> float:
+    """Mean of the off-diagonal entries, summed with the diagonal zeroed in
+    place and then restored, so ``k`` is unchanged."""
+    n = k.shape[0]
+    diag = np.diag(k).copy()
+    np.fill_diagonal(k, 0.0)
+    mean = k.sum() / (n * (n - 1))
+    np.fill_diagonal(k, diag)
+    return mean
+
+
+def _center(k: np.ndarray) -> None:
+    """Double centering in place: column means, then row means."""
+    k -= k.mean(axis=0, keepdims=True)
     k -= k.mean(axis=1, keepdims=True)
-    return k
 
 
 def hsic_test(
@@ -97,6 +126,12 @@ def hsic_test(
     returned statistic is n*HSIC (biased estimator), which is what both the
     Gamma approximation and the permutation null are calibrated against.
     ``n_perm`` and ``seed`` apply to ``method="permutation"`` only.
+
+    The test holds at most two (n, n) arrays and nothing else of that
+    size: each kernel takes its bandwidths' pairwise distances in its own
+    memory, the off-diagonal means are taken before centering, both
+    kernels are centered in place, and the product of the centered kernels
+    overwrites the noise kernel.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -112,49 +147,50 @@ def hsic_test(
     for j in range(x.shape[1]):
         if np.ptp(x[:, j]) == 0.0:
             raise ConstantInput(f"column {j} of x is constant")
+    if method not in ("gamma", "permutation"):
+        raise BadParam(f"unknown hsic method {method!r}")
+    if method == "permutation" and n_perm < 1:
+        raise BadParam("n_perm must be positive")
 
-    k = _product_rbf_kernel(x)
-    bigl = _product_rbf_kernel(e[:, None])
-    kc = _centered(k)
-    kl = _centered(bigl)
+    kc = _product_rbf_kernel(x)
+    mu_x = _off_diagonal_mean(kc)
+    _center(kc)
+    kl = _product_rbf_kernel(e[:, None])
+    mu_y = _off_diagonal_mean(kl)
+    _center(kl)
     kl *= kc
     stat = float(np.sum(kl) / n)
 
     if method == "gamma":
-        p = _gamma_p_value(k, bigl, kl, stat)
+        p = _gamma_p_value(kl, mu_x, mu_y, stat)
         return TestResult(statistic=stat, p_value=p, method="hsic-gamma")
-    if method == "permutation":
-        if n_perm < 1:
-            raise BadParam("n_perm must be positive")
-        rng = seeding.substream(seed, seeding.HSIC_PERM)
-        count = 0
-        for _ in range(n_perm):
-            perm = rng.permutation(n)
-            # tr(Kc Lc_perm) = sum(Kc * L_perm) because Kc is doubly centered
-            stat_b = float(np.sum(kc * bigl[np.ix_(perm, perm)]) / n)
-            if stat_b >= stat:
-                count += 1
-        p = (1 + count) / (n_perm + 1)
-        return TestResult(statistic=stat, p_value=p, method="hsic-permutation")
-    raise BadParam(f"unknown hsic method {method!r}")
+    del kl  # the uncentered noise kernel is built again in its place
+    bigl = _product_rbf_kernel(e[:, None])
+    rng = seeding.substream(seed, seeding.HSIC_PERM)
+    count = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(n)
+        # tr(Kc Lc_perm) = sum(Kc * L_perm) because Kc is doubly centered
+        stat_b = float(np.sum(kc * bigl[np.ix_(perm, perm)]) / n)
+        if stat_b >= stat:
+            count += 1
+    p = (1 + count) / (n_perm + 1)
+    return TestResult(statistic=stat, p_value=p, method="hsic-permutation")
 
 
-def _gamma_p_value(k, bigl, kl, stat) -> float:
+def _gamma_p_value(kl, mu_x, mu_y, stat) -> float:
     """Moment-matched Gamma approximation to the null distribution of n*HSIC.
 
     ``kl``, the elementwise product of the two centered kernels, is
-    overwritten, and the diagonals of ``k`` and ``bigl`` are zeroed in place.
+    overwritten; ``mu_x`` and ``mu_y`` are the off-diagonal means of the
+    uncentered kernels.
     """
-    n = k.shape[0]
+    n = kl.shape[0]
     kl /= 6.0
     np.square(kl, out=kl)
     var = (kl.sum() - np.trace(kl)) / (n * (n - 1))
     var = var * 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
 
-    np.fill_diagonal(k, 0.0)
-    np.fill_diagonal(bigl, 0.0)
-    mu_x = k.sum() / (n * (n - 1))
-    mu_y = bigl.sum() / (n * (n - 1))
     mean = (1.0 + mu_x * mu_y - mu_x - mu_y) / n
     if var <= 0 or mean <= 0:
         return 1.0

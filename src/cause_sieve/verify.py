@@ -16,6 +16,7 @@ from .discover import DiscoveryConfig, analyze
 from .errors import BadParam
 from .jsonout import write_json
 from .model import FunctionClass, validate_dataset
+from .parallel import thread_map
 from .stattests import hsic_test
 from .synth import gen_linear_chain
 
@@ -206,17 +207,23 @@ def _cool_lemma_draw(part: int, rng: np.random.Generator, n: int):
     raise BadParam(f"part must be 1..4, got {part}")
 
 
+def _rejection_rates(draw, n_reps: int) -> tuple[float, float]:
+    """Rejection rates of both arms over ``n_reps`` draws, run on every core;
+    each draw seeds its own substream, so the rates do not depend on the
+    thread count."""
+    outcomes = thread_map(draw, range(n_reps))
+    return sum(a for a, _ in outcomes) / n_reps, sum(b for _, b in outcomes) / n_reps
+
+
 def check_cool_lemma(part: int, n: int = 2000, n_reps: int = 100, seed: int = 0) -> TheoryCheckReport:
     """Rejection rates for one part of the inseparability lemma."""
-    main_rejections = 0
-    control_rejections = 0
-    for r in range(n_reps):
+
+    def draw(r):
         rng = seeding.substream(seed, seeding.REPLICATE, part, r)
         x1, main, control = _cool_lemma_draw(part, rng, n)
-        main_rejections += _rejects(x1, main)
-        control_rejections += _rejects(x1, control)
-    main_rate = main_rejections / n_reps
-    control_rate = control_rejections / n_reps
+        return _rejects(x1, main), _rejects(x1, control)
+
+    main_rate, control_rate = _rejection_rates(draw, n_reps)
     return TheoryCheckReport(
         check_id=f"cool-lemma:{part}",
         seed=seed,
@@ -244,19 +251,18 @@ def check_gamma_support_exception(
     unequal scales (the control, scale doubled) must be detected."""
     if k1 <= 0 or k2 <= 0 or scale <= 0:
         raise BadParam("shapes and scale must be positive")
-    exception_rejections = 0
-    control_rejections = 0
-    for r in range(n_reps):
+
+    def draw(r):
         rng = seeding.substream(seed, seeding.REPLICATE, 31, r)
         y = rng.gamma(k1, scale, n)
         eta_eq = rng.gamma(k2, scale, n)
         x_eq = y + eta_eq
-        exception_rejections += _rejects(x_eq, y / x_eq)
+        exception = _rejects(x_eq, y / x_eq)
         eta_ne = rng.gamma(k2, 2.0 * scale, n)
         x_ne = y + eta_ne
-        control_rejections += _rejects(x_ne, y / x_ne)
-    exception_rate = exception_rejections / n_reps
-    control_rate = control_rejections / n_reps
+        return exception, _rejects(x_ne, y / x_ne)
+
+    exception_rate, control_rate = _rejection_rates(draw, n_reps)
     return TheoryCheckReport(
         check_id="gamma-exception",
         seed=seed,

@@ -79,6 +79,12 @@ class TestDiscover:
         assert main(args + [str(tmp_path / "r2.json")]) == 0
         assert _sha(tmp_path / "r1.json") == _sha(tmp_path / "r2.json")
 
+    def test_jobs_byte_identical(self, bench2_csv, tmp_path):
+        args = ["discover", str(bench2_csv), "--target", "Y", "--class", "additive", "--seed", "11", "--out"]
+        assert main(args + [str(tmp_path / "j1.json"), "--jobs", "1"]) == 0
+        assert main(args + [str(tmp_path / "j2.json"), "--jobs", "2"]) == 0
+        assert _sha(tmp_path / "j1.json") == _sha(tmp_path / "j2.json")
+
 
 class TestBench:
     def test_unknown_benchmark_exits_2(self, tmp_path):
@@ -127,6 +133,8 @@ class TestVerifyCommand:
         ["bench", "--benchmark", "1", "--reps", "0"],
         ["verify", "--check", "gamma-exception", "--n", "0", "--reps", "0"],
         ["verify", "--check", "cool-lemma:abc"],
+        ["discover", "missing.csv", "--target", "Y", "--jobs", "-1"],
+        ["bench", "--benchmark", "1", "--jobs", "-1"],
     ],
 )
 def test_malformed_numeric_flag_exits_2(argv, tmp_path, capsys):

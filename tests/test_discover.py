@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -261,3 +262,60 @@ class TestDegenerateInput:
         data = table(rng.standard_normal(40), *(rng.standard_normal(40) for _ in range(7)))
         res = analyze(data, FunctionClass("linear"), DiscoveryConfig(seed=0))
         assert len(res.verdicts) == 2**7 - 1
+
+
+def _same_verdict(a: PlausibilityVerdict, b: PlausibilityVerdict) -> bool:
+    """Field for field, NaN equal to NaN."""
+    for name in PlausibilityVerdict.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if not (x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))):
+            return False
+    return True
+
+
+class TestJobs:
+    """Candidates evaluated on threads give the results of one thread."""
+
+    CASES = [
+        ("linear", 1), ("additive", 1), ("location-scale", 1), ("cpcm:gaussian", 1),
+        ("cpcm:gamma", 3), ("cpcm:pareto", 3),
+    ]
+
+    @pytest.mark.parametrize("label,bench", CASES)
+    def test_threads_match_one_thread(self, label, bench):
+        data = {1: gen_benchmark1, 3: gen_benchmark3}[bench](5, 120).data
+        f_class, cfg = FunctionClass.parse(label), DiscoveryConfig(seed=5)
+        one = analyze(data, f_class, cfg, jobs=1)
+        two = analyze(data, f_class, cfg, jobs=2)
+        assert [v.candidate for v in two.verdicts] == enumerate_candidates(data.p)
+        assert all(_same_verdict(a, b) for a, b in zip(one.verdicts, two.verdicts, strict=True))
+        assert result_to_json(one) == result_to_json(two)
+
+    def test_rank_deficient_candidates_match(self):
+        rng = seeding.substream(3, 778)
+        x1, x3 = rng.standard_normal(100), rng.standard_normal(100)
+        data = table(np.sin(x1) + 0.5 * rng.standard_normal(100), x1, x1.copy(), x3)
+        one = analyze(data, FunctionClass("additive"), DiscoveryConfig(seed=0), jobs=1)
+        two = analyze(data, FunctionClass("additive"), DiscoveryConfig(seed=0), jobs=2)
+        assert sum(v.reason == "RankDeficient" for v in two.verdicts) == 2
+        assert all(_same_verdict(a, b) for a, b in zip(one.verdicts, two.verdicts, strict=True))
+        assert result_to_json(one) == result_to_json(two)
+
+    def test_error_in_one_candidate_escapes_and_joins_threads(self, monkeypatch):
+        real = discover.recover_noise
+
+        def failing(data, s, f_class, **kwargs):
+            if s.members == (1, 2):
+                raise RuntimeError("injected")
+            return real(data, s, f_class, **kwargs)
+
+        monkeypatch.setattr(discover, "recover_noise", failing)
+        data = gen_benchmark1(6, 100).data
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            analyze(data, FunctionClass("linear"), DiscoveryConfig(seed=6), jobs=2)
+        assert threading.active_count() == before
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(BadParam, match="jobs"):
+            analyze(gen_benchmark1(6, 60).data, FunctionClass("linear"), jobs=0)

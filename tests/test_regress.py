@@ -161,6 +161,18 @@ class TestFitCpcm:
         theta = model.theta(x)
         np.testing.assert_allclose(theta, 1.0 / np.mean(np.log(y)), rtol=1e-6)
 
+    @pytest.mark.parametrize("family", ["pareto", "gamma"])
+    def test_theta_sums_factors_in_place(self, family):
+        # one (m, n) array, summed column by column, gives exactly the
+        # parameters of the stacked (d, m, n) factors
+        rng = seeding.substream(7, 905)
+        x = rng.standard_normal((200, 3))
+        y = (1.0 - rng.random(200)) ** -0.5 if family == "pareto" else rng.gamma(2.0, 1.0 + x[:, 0] ** 2)
+        model = _CpcmLocalModel(x[:100], y[:100], family)
+        for x_ev in (x[:100], x[100:]):
+            expected = model._local_params(np.exp(model.log_factors(x_ev).sum(axis=0)))
+            np.testing.assert_array_equal(model.theta(x_ev), expected)
+
     def test_pareto_iid_uniform_eps(self):
         passes = 0
         for seed in range(20):

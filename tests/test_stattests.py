@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from cause_sieve import seeding
 from cause_sieve.errors import BadParam, ConstantInput, OutOfRange, TooFewRows
@@ -63,6 +64,56 @@ class TestHsic:
             h = np.median(tri[tri > 0])
             expo += (d * d) / (2.0 * h * h)
         np.testing.assert_array_equal(_product_rbf_kernel(x), np.exp(-expo))
+
+    @staticmethod
+    def _textbook_hsic(x, e, method, n_perm, seed):
+        """n*HSIC and its p-value from full (n, n) copies: pairwise kernels,
+        centered copies, diagonals removed with np.diag(np.diag(k))."""
+        n = e.size
+
+        def kernel(cols):
+            expo = np.zeros((n, n))
+            for col in cols.T:
+                d = col[:, None] - col[None, :]
+                tri = np.abs(d)[np.triu_indices(n, k=1)]
+                h = np.median(tri[tri > 0])
+                expo += (d * d) / (2.0 * h * h)
+            return np.exp(-expo)
+
+        def centered(k):
+            k = k - k.mean(axis=0, keepdims=True)
+            return k - k.mean(axis=1, keepdims=True)
+
+        k, bigl = kernel(x), kernel(e[:, None])
+        kc, lc = centered(k), centered(bigl)
+        stat = float(np.sum(kc * lc) / n)
+        if method == "permutation":
+            rng = seeding.substream(seed, seeding.HSIC_PERM)
+            count = sum(
+                float(np.sum(kc * bigl[np.ix_(perm, perm)]) / n) >= stat
+                for perm in (rng.permutation(n) for _ in range(n_perm))
+            )
+            return stat, (1 + count) / (n_perm + 1)
+        b = (kc * lc / 6.0) ** 2
+        var = (b.sum() - np.trace(b)) / (n * (n - 1))
+        var = var * 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
+        mu_x = (k - np.diag(np.diag(k))).sum() / (n * (n - 1))
+        mu_y = (bigl - np.diag(np.diag(bigl))).sum() / (n * (n - 1))
+        mean = (1.0 + mu_x * mu_y - mu_x - mu_y) / n
+        if var <= 0 or mean <= 0:
+            return stat, 1.0
+        return stat, float(gammaincc(mean * mean / var, max(stat, 0.0) / (n * var / mean)))
+
+    @pytest.mark.parametrize("n", [20, 200, 2000])
+    def test_matches_textbook_construction(self, n):
+        # bit for bit, ties included, for a one- and a three-column block
+        rng = seeding.substream(n, 921)
+        for d in (1, 3):
+            x = np.round(rng.standard_normal((n, d)), 1)
+            e = np.round(x[:, 0] ** 2 + rng.standard_normal(n), 1)
+            for method, n_perm in (("gamma", 500), ("permutation", 3 if n == 2000 else 20)):
+                res = hsic_test(x, e, method=method, n_perm=n_perm, seed=4)
+                assert (res.statistic, res.p_value) == self._textbook_hsic(x, e, method, n_perm, 4), (d, method)
 
     def test_gamma_matches_permutation_reference(self):
         # the permutation null is the reference the Gamma approximation is
