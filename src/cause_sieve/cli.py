@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="discovery_result.json", help="path for the result JSON")
-    p.add_argument("--jobs", type=int, default=0, help="threads for candidate evaluation (0 = all cores)")
 
     p = sub.add_parser("bench", help="replicate one benchmark and report accuracy metrics")
     p.add_argument("--benchmark", required=True, help="1, 2, or 3")
@@ -126,14 +125,13 @@ def _jobs_of(args) -> int | None:
 
 def cmd_discover(args) -> int:
     seed = _seed_of(args)
-    jobs = _jobs_of(args)
     f_class = FunctionClass.parse(args.f_class)
     data = load_csv(args.csv, args.target)
     # a support violation of the target makes every candidate unfittable,
     # so fail the whole run instead of reporting a vacuous empty search
     f_class.check_support(data.y)
     cfg = DiscoveryConfig(alpha=args.alpha, seed=seed)
-    result = analyze(data, f_class, cfg, mode=args.mode, jobs=jobs)
+    result = analyze(data, f_class, cfg, mode=args.mode)
     save_result(result, args.out)
     names = {i: data.names[i] for i in range(1, data.p + 1)}
     if result.isd_estimate is not None:
@@ -154,14 +152,16 @@ _BENCH = {"1": "additive", "2": "additive", "3": "cpcm:pareto"}
 
 def _run_replicates(fn, reps: int, jobs: int | None):
     """``[fn(r) for r in range(reps)]`` on a pool of at most ``jobs`` worker
-    processes (None: every available core)."""
+    processes (None: every available core).  Each worker process calls
+    ``fn(r, jobs=1)``, so parallelism stays one level deep; run here, ``fn``
+    keeps the default threads of :func:`analyze`."""
     if jobs is None:
         jobs = available_cores()
     if jobs > 1 and reps > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
-            return list(pool.map(fn, range(reps)))
+            return list(pool.map(partial(fn, jobs=1), range(reps)))
     return [fn(r) for r in range(reps)]
 
 
@@ -208,18 +208,18 @@ def _parse_range(token: str, name: str) -> tuple[float, float]:
     return lo, hi
 
 
-def simulate_cell(c: float, gamma: float, rep: int, n: int, seed: int) -> int:
+def simulate_cell(c: float, gamma: float, rep: int, n: int, seed: int, jobs: int | None = None) -> int:
     """Number of true parents recovered by the additive sieve on one draw,
-    analysed on one thread: the cells themselves run in parallel."""
+    analysed on ``jobs`` threads."""
     generator = partial(gen_additive_grid, c=c, gamma=gamma)
-    true_pa, est, _ = replicate(generator, FunctionClass("additive"), rep, n=n, seed=seed, mode="isd", jobs=1)
+    true_pa, est, _ = replicate(generator, FunctionClass("additive"), rep, n=n, seed=seed, mode="isd", jobs=jobs)
     return len(set(est) & set(true_pa))
 
 
-def _simulate_chunk(idx: int, *, cells, reps: int, n: int, seed: int):
+def _simulate_chunk(idx: int, *, cells, reps: int, n: int, seed: int, jobs: int | None = None):
     c, g = cells[idx]
     cell_seed = seeding.child_seed(seed, idx)
-    return [(c, g, rep, simulate_cell(c, g, rep, n, cell_seed)) for rep in range(reps)]
+    return [(c, g, rep, simulate_cell(c, g, rep, n, cell_seed, jobs)) for rep in range(reps)]
 
 
 def cmd_simulate(args) -> int:

@@ -129,15 +129,17 @@ def analyze(
 ) -> DiscoveryResult:
     """Evaluate every candidate once and derive the requested estimates.
 
-    The candidates are evaluated concurrently on at most ``jobs`` threads
-    (None: every core this process may use, see
-    :func:`parallel.available_cores`), the calling thread among them, with
-    the largest sets started first.  Each candidate seeds its own
+    The candidates are evaluated concurrently on at most ``jobs`` threads,
+    with the largest sets started first.  ``jobs=None`` caps the count at
+    ``parallel.DEFAULT_THREADS`` (2) or the cores this process may use,
+    whichever is fewer, because memory grows with the threads: each
+    concurrent HSIC holds two (n, n) float arrays, 64 MB at n=2000.  The
+    spline solves may also start BLAS threads of their own in each thread
+    unless ``OPENBLAS_NUM_THREADS=1`` is set.  Each candidate seeds its own
     substreams, so the verdicts and the result JSON do not depend on
-    ``jobs``.  Memory grows with the threads: each concurrent HSIC holds two
-    (n, n) float arrays, 64 MB at n=2000.  A ``StatError`` marks its
-    candidate implausible; any other exception stops the search and is
-    raised here after every helper thread has finished.
+    ``jobs``.  A ``StatError`` marks its candidate implausible; any other
+    exception stops the search and is raised here after every worker thread
+    has finished.
     """
     cfg = cfg or DiscoveryConfig()
     if mode not in ("isd", "score", "both"):
@@ -259,13 +261,14 @@ def bench_replicates(generator, f_class: FunctionClass, reps: int, *, n: int, se
     """Replicate a benchmark ``reps`` times and average the two metrics.
 
     ``run(fn, reps)`` maps the one-replicate function over ``range(reps)``
-    (a process pool, say), and then each replicate analyses on one thread,
-    so parallelism stays one level deep; by default the replicates run in
-    order, each analysed on every core.  Returns the per-replicate rows of
-    :func:`replicate` and, for each algorithm the mode runs,
-    ``{algorithm: (correct-causes %, no-false-positives %)}``.
+    (a process pool, say); by default the replicates run in order.  ``fn``
+    takes ``jobs``, the threads of its :func:`analyze`: a ``run`` that
+    forks workers should pass ``jobs=1``, so parallelism stays one level
+    deep.  Returns the per-replicate rows of :func:`replicate` and, for
+    each algorithm the mode runs, ``{algorithm: (correct-causes %,
+    no-false-positives %)}``.
     """
-    fn = partial(replicate, generator, f_class, n=n, seed=seed, mode=mode, jobs=1 if run else None)
+    fn = partial(replicate, generator, f_class, n=n, seed=seed, mode=mode)
     rows = run(fn, reps) if run else [fn(rep) for rep in range(reps)]
     summary = {}
     for algorithm, idx in (("isd", 1), ("score", 2)):

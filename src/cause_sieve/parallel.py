@@ -10,9 +10,15 @@ pickling it.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 from .errors import BadParam
+
+# Threads used when no count is given.  Memory grows with the threads (two
+# (n, n) float arrays per concurrent HSIC, 64 MB at n=2000), and speed and
+# peak memory have been measured on two cores only, so the default does not
+# grow with the host.
+DEFAULT_THREADS = 2
 
 
 def available_cores() -> int:
@@ -27,51 +33,19 @@ def available_cores() -> int:
 def thread_map(fn, items, jobs: int | None = None) -> list:
     """``[fn(item) for item in items]`` on at most ``jobs`` threads.
 
-    ``jobs=None`` means :func:`available_cores`.  The calling thread works
-    too, so at most ``jobs - 1`` helper threads start, and none when there
-    is one item or ``jobs == 1``.  Items start in the order given; results
-    come back in that order whichever finishes first.  The first exception
-    any call raises stops further items from starting, and is re-raised
-    once every helper thread has been joined, so no thread outlives the call.
+    ``jobs=None`` means ``min(DEFAULT_THREADS, available_cores())``.  No
+    thread starts when there is one item or ``jobs == 1``.  Items start in
+    the order given and results come back in that order.  If a call raises,
+    items not yet started are cancelled and the first error in item order is
+    raised once every worker thread has been joined.
     """
     items = list(items)
     if jobs is None:
-        jobs = available_cores()
+        jobs = min(DEFAULT_THREADS, available_cores())
     if jobs < 1:
         raise BadParam(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
-
-    results = [None] * len(items)
-    errors = []
-    lock = threading.Lock()
-    stop = threading.Event()
-    pending = iter(range(len(items)))
-
-    def work():
-        while not stop.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # handed to the calling thread, which re-raises it
-                with lock:
-                    errors.append(exc)
-                stop.set()
-                return
-
-    helpers = [threading.Thread(target=work, name=f"cause-sieve-{k}", daemon=True) for k in range(jobs - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        stop.set()
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
-    return results
+    with ThreadPoolExecutor(jobs, thread_name_prefix="cause-sieve") as pool:
+        return list(pool.map(fn, items))

@@ -208,9 +208,9 @@ def _cool_lemma_draw(part: int, rng: np.random.Generator, n: int):
 
 
 def _rejection_rates(draw, n_reps: int) -> tuple[float, float]:
-    """Rejection rates of both arms over ``n_reps`` draws, run on every core;
-    each draw seeds its own substream, so the rates do not depend on the
-    thread count."""
+    """Rejection rates of both arms over ``n_reps`` draws, run on the
+    default threads of :func:`parallel.thread_map`; each draw seeds its own
+    substream, so the rates do not depend on the thread count."""
     outcomes = thread_map(draw, range(n_reps))
     return sum(a for a, _ in outcomes) / n_reps, sum(b for _, b in outcomes) / n_reps
 

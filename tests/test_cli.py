@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from cause_sieve.cli import main
+from cause_sieve.cli import _run_replicates, main
 from cause_sieve.model import load_csv
 from cause_sieve.synth import gen_benchmark2, write_generated
 
@@ -79,12 +79,6 @@ class TestDiscover:
         assert main(args + [str(tmp_path / "r2.json")]) == 0
         assert _sha(tmp_path / "r1.json") == _sha(tmp_path / "r2.json")
 
-    def test_jobs_byte_identical(self, bench2_csv, tmp_path):
-        args = ["discover", str(bench2_csv), "--target", "Y", "--class", "additive", "--seed", "11", "--out"]
-        assert main(args + [str(tmp_path / "j1.json"), "--jobs", "1"]) == 0
-        assert main(args + [str(tmp_path / "j2.json"), "--jobs", "2"]) == 0
-        assert _sha(tmp_path / "j1.json") == _sha(tmp_path / "j2.json")
-
 
 class TestBench:
     def test_unknown_benchmark_exits_2(self, tmp_path):
@@ -97,6 +91,19 @@ class TestBench:
         assert time.monotonic() - start < 60
         header = open(tmp_path / "b.csv").readline().strip().split(",")
         assert header == ["algorithm", "benchmark", "reps", "n", "class", "correct_causes_pct", "no_false_positives_pct"]
+
+
+def _jobs_seen(r, jobs=None):
+    return jobs
+
+
+class TestRunReplicates:
+    def test_worker_processes_analyse_on_one_thread(self):
+        assert _run_replicates(_jobs_seen, 2, 2) == [1, 1]
+
+    def test_in_process_keeps_default_threads(self):
+        assert _run_replicates(_jobs_seen, 2, 1) == [None, None]
+        assert _run_replicates(_jobs_seen, 1, 2) == [None]
 
 
 class TestSimulate:
@@ -133,7 +140,6 @@ class TestVerifyCommand:
         ["bench", "--benchmark", "1", "--reps", "0"],
         ["verify", "--check", "gamma-exception", "--n", "0", "--reps", "0"],
         ["verify", "--check", "cool-lemma:abc"],
-        ["discover", "missing.csv", "--target", "Y", "--jobs", "-1"],
         ["bench", "--benchmark", "1", "--jobs", "-1"],
     ],
 )
