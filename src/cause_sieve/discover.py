@@ -214,7 +214,10 @@ def empty_parent_test(data: Dataset, family: str) -> TestResult:
             raise DomainViolation("constant target")
         u = ndtr((y - mu) / sd)
     elif family == "pareto":
-        theta = 1.0 / float(np.mean(np.log(y)))
+        mean_log = float(np.mean(np.log(y)))
+        if mean_log == 0:  # every y is 1, the only point where log y is 0
+            raise DomainViolation("constant target")
+        theta = 1.0 / mean_log
         u = 1.0 - y ** (-theta)
     else:
         mu, var = float(np.mean(y)), float(np.var(y, ddof=1))
@@ -285,10 +288,10 @@ def bench_replicates(generator, f_class: FunctionClass, reps: int, *, n: int, se
 
 def _config_dict(cfg: DiscoveryConfig, f_class: FunctionClass) -> dict:
     """``alpha``, then the fixed procedure under the keys every result file
-    carries: equal score weights, the Gamma HSIC (500 is the permutation
-    method's default count, which the Gamma method does not use), the
-    spline penalties, the sd-relative sigma floor (null) and the enumeration
-    cap."""
+    carries: equal score weights, the Gamma HSIC (``hsic_permutations`` is
+    a fixed recorded 500 that no code reads, kept so result files keep
+    their bytes), the spline penalties, the sd-relative sigma floor (null)
+    and the enumeration cap."""
     return {
         "function_class": f_class.label,
         "alpha": cfg.alpha,

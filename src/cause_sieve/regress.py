@@ -122,21 +122,12 @@ def _silverman(x: np.ndarray, dim: int) -> float:
     return 1.06 * sd * x.size ** (-1.0 / (4.0 + dim))
 
 
-def _log_kernel(col_tr: np.ndarray, col_ev: np.ndarray, h: float) -> np.ndarray:
-    """(m, n) Gaussian log-kernel of one column, -(diff^2) / (2 h^2), built in place."""
-    diff = col_tr[None, :] - col_ev[:, None]
-    np.multiply(diff, diff, out=diff)
-    np.negative(diff, out=diff)
-    diff /= 2.0 * h * h
-    return diff
-
-
 def _log_kernel_factors(x_tr: np.ndarray, x_ev: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """(d, m, n) array of per-column Gaussian log-kernels."""
     d = x_tr.shape[1]
     out = np.empty((d, x_ev.shape[0], x_tr.shape[0]))
     for j in range(d):
-        out[j] = _log_kernel(x_tr[:, j], x_ev[:, j], hs[j])
+        stattests.gaussian_log_kernel(x_ev[:, j : j + 1], x_tr[:, j : j + 1], hs[j : j + 1], out=out[j])
     return out
 
 
@@ -206,11 +197,10 @@ class _CpcmLocalModel:
 
         The per-column log-kernels are summed into one (m, n) array in
         column order, the order ``log_factors(x_ev).sum(axis=0)`` adds them,
-        and exponentiated in place.
+        and exponentiated in place.  Each further column is added in row
+        blocks, so that array is the only one of its size.
         """
-        logw = _log_kernel(self.x_train[:, 0], x_ev[:, 0], self.bandwidths[0])
-        for j in range(1, x_ev.shape[1]):
-            logw += _log_kernel(self.x_train[:, j], x_ev[:, j], self.bandwidths[j])
+        logw = stattests.gaussian_log_kernel(x_ev, self.x_train, self.bandwidths)
         return self._local_params(np.exp(logw, out=logw))
 
     def nll(self, w: np.ndarray, y: np.ndarray) -> float:
@@ -232,8 +222,9 @@ class _CpcmLocalModel:
 
 
 class _LinearModel:
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        design = np.column_stack([np.ones(x.shape[0]), x])
+    """OLS fit on a design matrix [1, X]."""
+
+    def __init__(self, design: np.ndarray, y: np.ndarray):
         coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         if rank < design.shape[1]:
             raise RankDeficient(f"design matrix rank {rank} < {design.shape[1]} (collinear covariates)")
@@ -257,10 +248,10 @@ def fit_linear(data: Dataset, s: CandidateSet) -> NoiseRecovery:
     n, d = x.shape
     if d >= n - 1:
         raise BadParam(f"|s|={d} too large for n={n}")
-    model = _LinearModel(x, y)
+    design = np.column_stack([np.ones(n), x])
+    model = _LinearModel(design, y)
     resid = y - model.predict(x)
 
-    design = np.column_stack([np.ones(n), x])
     dof = n - d - 1
     sigma2 = float(resid @ resid) / dof
     xtx_inv = np.linalg.inv(design.T @ design)

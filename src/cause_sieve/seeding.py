@@ -16,7 +16,6 @@ _MASK = (1 << 63) - 1
 # Purpose tags keep unrelated streams apart even for equal (seed, keys).
 PERLIN = 101
 GENERATOR = 102
-HSIC_PERM = 103
 SIG_SPLIT = 104
 SIG_PERM = 105
 REPLICATE = 106

@@ -1,11 +1,10 @@
-"""Statistical tests: HSIC independence, uniformity, permutation significance.
+"""Statistical tests: HSIC independence, uniformity, permutation significance,
+and the Gaussian log-kernel that HSIC and the kernel-local fits share.
 
 The HSIC statistic is the biased V-statistic with Gaussian RBF kernels,
 reported on the n*HSIC scale.  The kernel on a multi-column block is the
 product of univariate RBF kernels, one bandwidth per column by the median
-heuristic.  P-values come from the Gamma moment-matching approximation by
-default, or from permutations of the noise vector when an exact-style
-reference is wanted.
+heuristic.  P-values come from the Gamma moment-matching approximation.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ SIG_PERMUTATIONS = 99  # permutations per covariate in the significance test
 class TestResult:
     statistic: float
     p_value: float
-    method: str
 
     def __post_init__(self):
         if not np.isfinite(self.statistic):
@@ -66,34 +64,46 @@ def _median_bandwidth(col: np.ndarray, scratch: np.ndarray) -> float:
 _KERNEL_BLOCK_ROWS = 128  # rows per block when a further column joins the exponent
 
 
+def gaussian_log_kernel(a: np.ndarray, b: np.ndarray, hs, out: np.ndarray | None = None) -> np.ndarray:
+    """(m, n) Gaussian log-kernel between the rows of ``a`` (m, d) and ``b``
+    (n, d): the sum over columns j of -(a_ij - b_kj)^2 / (2 hs[j]^2).
+
+    The columns are added in order.  The first is built in ``out`` (a new
+    array when None); each further column is added block by block of
+    rows, so no second (m, n) array exists.  Dividing by the negated
+    denominator gives the same floats as negating first.
+    """
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[0]))
+    for j, h in enumerate(hs):
+        col_a, col_b = a[:, j], b[:, j]
+        denom = -(2.0 * h * h)
+        if j == 0:
+            np.subtract(col_a[:, None], col_b[None, :], out=out)
+            np.multiply(out, out, out=out)
+            out /= denom
+            continue
+        for lo in range(0, out.shape[0], _KERNEL_BLOCK_ROWS):
+            d = col_a[lo : lo + _KERNEL_BLOCK_ROWS, None] - col_b[None, :]
+            np.multiply(d, d, out=d)
+            d /= denom
+            out[lo : lo + _KERNEL_BLOCK_ROWS] += d
+    return out
+
+
 def _product_rbf_kernel(x: np.ndarray) -> np.ndarray:
     """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2)), one
     median-heuristic bandwidth per column.
 
-    One (n, n) array is allocated and returned.  Every bandwidth is taken
-    first, with its pairwise distances in that array's memory; then the
-    first column's exponent is built in place there, and each further
-    column is added block by block of rows, so no second (n, n) array
-    exists.  Dividing by the negated denominator gives the same floats as
-    negating after.
+    One (n, n) array is allocated and returned: every bandwidth is taken
+    first, with its pairwise distances in that array's memory, and then
+    the log-kernel is built there and exponentiated in place.
     """
     n = x.shape[0]
-    expo = np.empty((n, n))
-    bandwidths = [_median_bandwidth(x[:, j], expo.reshape(-1)) for j in range(x.shape[1])]
-    for j, h in enumerate(bandwidths):
-        col = x[:, j]
-        denom = -(2.0 * h * h)
-        if j == 0:
-            np.subtract(col[:, None], col[None, :], out=expo)
-            np.multiply(expo, expo, out=expo)
-            expo /= denom
-            continue
-        for lo in range(0, n, _KERNEL_BLOCK_ROWS):
-            d = col[lo : lo + _KERNEL_BLOCK_ROWS, None] - col[None, :]
-            np.multiply(d, d, out=d)
-            d /= denom
-            expo[lo : lo + _KERNEL_BLOCK_ROWS] += d
-    return np.exp(expo, out=expo)
+    k = np.empty((n, n))
+    bandwidths = [_median_bandwidth(x[:, j], k.reshape(-1)) for j in range(x.shape[1])]
+    gaussian_log_kernel(x, x, bandwidths, out=k)
+    return np.exp(k, out=k)
 
 
 def _off_diagonal_mean(k: np.ndarray) -> float:
@@ -113,19 +123,13 @@ def _center(k: np.ndarray) -> None:
     k -= k.mean(axis=1, keepdims=True)
 
 
-def hsic_test(
-    x,
-    e,
-    method: str = "gamma",
-    n_perm: int = 500,
-    seed: int = 0,
-) -> TestResult:
+def hsic_test(x, e) -> TestResult:
     """HSIC independence test between a covariate block and a noise vector.
 
     ``x`` is (n,) or (n, d) with non-constant columns; ``e`` is (n,).  The
-    returned statistic is n*HSIC (biased estimator), which is what both the
-    Gamma approximation and the permutation null are calibrated against.
-    ``n_perm`` and ``seed`` apply to ``method="permutation"`` only.
+    returned statistic is n*HSIC (biased estimator); its p-value comes
+    from the Gamma approximation to the null distribution (Gretton et al.,
+    "A Kernel Statistical Test of Independence", NeurIPS 2007).
 
     The test holds at most two (n, n) arrays and nothing else of that
     size: each kernel takes its bandwidths' pairwise distances in its own
@@ -147,10 +151,6 @@ def hsic_test(
     for j in range(x.shape[1]):
         if np.ptp(x[:, j]) == 0.0:
             raise ConstantInput(f"column {j} of x is constant")
-    if method not in ("gamma", "permutation"):
-        raise BadParam(f"unknown hsic method {method!r}")
-    if method == "permutation" and n_perm < 1:
-        raise BadParam("n_perm must be positive")
 
     kc = _product_rbf_kernel(x)
     mu_x = _off_diagonal_mean(kc)
@@ -160,22 +160,7 @@ def hsic_test(
     _center(kl)
     kl *= kc
     stat = float(np.sum(kl) / n)
-
-    if method == "gamma":
-        p = _gamma_p_value(kl, mu_x, mu_y, stat)
-        return TestResult(statistic=stat, p_value=p, method="hsic-gamma")
-    del kl  # the uncentered noise kernel is built again in its place
-    bigl = _product_rbf_kernel(e[:, None])
-    rng = seeding.substream(seed, seeding.HSIC_PERM)
-    count = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(n)
-        # tr(Kc Lc_perm) = sum(Kc * L_perm) because Kc is doubly centered
-        stat_b = float(np.sum(kc * bigl[np.ix_(perm, perm)]) / n)
-        if stat_b >= stat:
-            count += 1
-    p = (1 + count) / (n_perm + 1)
-    return TestResult(statistic=stat, p_value=p, method="hsic-permutation")
+    return TestResult(statistic=stat, p_value=_gamma_p_value(kl, mu_x, mu_y, stat))
 
 
 def _gamma_p_value(kl, mu_x, mu_y, stat) -> float:
@@ -222,7 +207,7 @@ def ad_uniform_test(u) -> TestResult:
     s = np.sort(u)
     i = np.arange(1, n + 1)
     a2 = -n - np.mean((2 * i - 1) * (np.log(s) + np.log1p(-s[::-1])))
-    return TestResult(statistic=float(a2), p_value=_ad_p_value(float(a2)), method="anderson-darling")
+    return TestResult(statistic=float(a2), p_value=_ad_p_value(float(a2)))
 
 
 def _ad_p_value(a2: float) -> float:

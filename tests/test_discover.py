@@ -187,6 +187,14 @@ class TestEmptyParent:
         with pytest.raises(DomainViolation):
             empty_parent_test(data, "pareto")
 
+    def test_constant_target(self):
+        # y = 1 is inside every support, but no family fits a constant
+        rng = seeding.substream(3, 779)
+        data = table(np.ones(100), rng.standard_normal(100))
+        for family in ("gaussian", "pareto", "gamma"):
+            with pytest.raises(DomainViolation, match="constant target"):
+                empty_parent_test(data, family)
+
 
 class TestSerialization:
     def _result(self, seed=9):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -172,6 +174,20 @@ class TestFitCpcm:
         for x_ev in (x[:100], x[100:]):
             expected = model._local_params(np.exp(model.log_factors(x_ev).sum(axis=0)))
             np.testing.assert_array_equal(model.theta(x_ev), expected)
+
+    def test_theta_holds_one_kernel_array(self):
+        # the kernel weights are one (m, n) array; further columns join it
+        # in row blocks, not as whole (m, n) temporaries
+        rng = seeding.substream(8, 905)
+        x = rng.standard_normal((1000, 3))
+        model = _CpcmLocalModel(x, (1.0 - rng.random(1000)) ** -0.5, "pareto")
+        tracemalloc.start()
+        try:
+            model.theta(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1000 * 1000 * 8
 
     def test_pareto_iid_uniform_eps(self):
         passes = 0
