@@ -272,27 +272,20 @@ def cmd_datagen(args) -> int:
 
 
 def _run_verify_check(name: str, seed: int, n: int | None, reps: int | None):
-    def pick(default_n, default_reps):
-        return (default_n if n is None else n), (default_reps if reps is None else reps)
-
-    if name == "dist-equality":
-        nn, _ = pick(20000, 1)
-        return [verify.check_dist_equality(n=nn, seed=seed)]
+    """Reports of one check; a flag not given leaves the check's own default."""
+    kw = {"seed": seed} if n is None else {"seed": seed, "n": n}
+    if name == "dist-equality":  # one draw, so --reps does not apply
+        return [verify.check_dist_equality(**kw)]
+    if reps is not None:
+        kw["n_reps"] = reps
     if name.startswith("cool-lemma:"):
-        part = int(name.split(":")[1])
-        nn, rr = pick(2000, 100)
-        return [verify.check_cool_lemma(part, n=nn, n_reps=rr, seed=seed)]
+        return [verify.check_cool_lemma(int(name.split(":")[1]), **kw)]
     if name == "gamma-exception":
-        nn, rr = pick(2000, 100)
-        return [verify.check_gamma_support_exception(n=nn, n_reps=rr, seed=seed)]
+        return [verify.check_gamma_support_exception(**kw)]
     if name == "norm-exception":
-        nn, rr = pick(500, 20)
-        return [verify.check_norm_exception(n=nn, n_reps=rr, seed=seed)]
-    nn, rr = pick(2000, 50)  # marginalizability; cmd_verify admits no other name
-    return [
-        verify.check_marginalizability("gaussian", n=nn, n_reps=rr, seed=seed),
-        verify.check_marginalizability("uniform", n=nn, n_reps=rr, seed=seed),
-    ]
+        return [verify.check_norm_exception(**kw)]
+    # marginalizability; cmd_verify admits no other name
+    return [verify.check_marginalizability(noise, **kw) for noise in ("gaussian", "uniform")]
 
 
 def cmd_verify(args) -> int:

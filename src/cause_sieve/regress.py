@@ -96,11 +96,14 @@ class _LocationScaleModel:
     def mu(self, x: np.ndarray) -> np.ndarray:
         return self.mu_model.predict(x)
 
+    def _sigma_from_logvar(self, logvar: np.ndarray) -> np.ndarray:
+        return np.maximum(np.exp(0.5 * (logvar - _LOG_CHI2_MEAN)), self.floor)
+
     def sigma(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(np.exp(0.5 * (self.logvar_model.predict(x) - _LOG_CHI2_MEAN)), self.floor)
+        return self._sigma_from_logvar(self.logvar_model.predict(x))
 
     def sigma_fitted(self) -> np.ndarray:
-        return np.maximum(np.exp(0.5 * (self.logvar_model.fitted - _LOG_CHI2_MEAN)), self.floor)
+        return self._sigma_from_logvar(self.logvar_model.fitted)
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Gaussian deviance; permuting a column moves the mean and the scale."""
@@ -222,12 +225,18 @@ class _CpcmLocalModel:
 
 
 class _LinearModel:
-    """OLS fit on a design matrix [1, X]."""
+    """OLS fit on a design matrix [1, X] from its thin SVD.  Singular values
+    at or below eps * max(n, d + 1) * s_max count as zero; ``xtx_inv_diag`` is
+    diag((X'X)^-1) = sum_j (vt[j, i] / s[j])^2, which cannot go negative."""
 
     def __init__(self, design: np.ndarray, y: np.ndarray):
-        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        rank = int(np.sum(s > np.finfo(float).eps * max(design.shape) * s[0]))
         if rank < design.shape[1]:
             raise RankDeficient(f"design matrix rank {rank} < {design.shape[1]} (collinear covariates)")
+        vs = vt.T / s
+        coef = vs @ (u.T @ y)
+        self.xtx_inv_diag = np.sum(vs * vs, axis=1)
         self.intercept = float(coef[0])
         self.beta = coef[1:]
 
@@ -242,7 +251,9 @@ class _LinearModel:
 
 def fit_linear(data: Dataset, s: CandidateSet) -> NoiseRecovery:
     """OLS on [1, X_s]; noise by rank PIT of the residuals; per-coefficient
-    two-sided t-tests for significance."""
+    two-sided t-tests for significance.  One thin SVD of the design gives the
+    coefficients, the rank and the standard errors; X'X, whose condition
+    number is the design's squared, is never formed."""
     x = data.covariates(s)
     y = data.y
     n, d = x.shape
@@ -254,8 +265,7 @@ def fit_linear(data: Dataset, s: CandidateSet) -> NoiseRecovery:
 
     dof = n - d - 1
     sigma2 = float(resid @ resid) / dof
-    xtx_inv = np.linalg.inv(design.T @ design)
-    se = np.sqrt(sigma2 * np.diag(xtx_inv)[1:])
+    se = np.sqrt(sigma2 * model.xtx_inv_diag[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, model.beta / se, np.inf)
     p_values = 2.0 * student_t.sf(np.abs(t_stats), dof)

@@ -135,23 +135,19 @@ def check_dist_equality(
 
     targets = [(0.0, 1.0), (2.0 * med, -1.0)]
 
-    def near_target(a, b):
-        return any(np.hypot(a - ta, b - tb) <= 0.1 for ta, tb in targets)
+    def hits(a, b):
+        return {t for t, (ta, tb) in enumerate(targets) if np.hypot(a - ta, b - tb) <= 0.1}
 
-    two_ok = len(minima) >= 2 and all(near_target(a, b) for _, a, b in minima[:2])
-    hit = {0: False, 1: False}
-    for _, a, b in minima[:2]:
-        for t_idx, (ta, tb) in enumerate(targets):
-            if np.hypot(a - ta, b - tb) <= 0.1:
-                hit[t_idx] = True
-    two_ok = two_ok and hit[0] and hit[1]
+    # the targets are at least 2 apart, so each minimum hits at most one and
+    # hitting both means each of the two smallest minima is near a target
+    two_ok = set().union(*(hits(a, b) for _, a, b in minima[:2])) == {0, 1}
 
     # the fingerprint is exactly zero at the admissible points, so the
     # basin level is floored at the quantile-estimation noise scale
     global_min = float(surface.min())
     level = 1.5 * max(global_min, 1.36 * np.sqrt(2.0 / n))
     close = np.argwhere(surface <= level)
-    basin_ok = all(near_target(float(a_vals[i]), float(b_vals[j])) for i, j in close)
+    basin_ok = all(hits(float(a_vals[i]), float(b_vals[j])) for i, j in close)
 
     return TheoryCheckReport(
         check_id=f"dist-equality:{dist}",

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,23 @@ class TestFitLinear:
         data = table(rng.standard_normal(100), x1, 2.0 * x1)
         with pytest.raises(RankDeficient):
             fit_linear(data, CandidateSet((1, 2)))
+
+    def test_near_collinear_slopes_keep_finite_p_values(self):
+        # x2 = x1 + 1e-8 noise: each slope's t-test is the test of the tiny
+        # independent direction, so its p-value is U(0,1) under this target.
+        # Inverting X'X squares the condition number past 1/eps; the inverse's
+        # diagonal then goes negative and both slopes read p = 0
+        rng = seeding.substream(5, 903)
+        x1 = rng.standard_normal(500)
+        x2 = x1 + 1e-8 * rng.standard_normal(500)
+        y = x1 + rng.standard_normal(500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = fit_linear(table(y, x1, x2), CandidateSet((1, 2)))
+        p = rec.significance_p
+        assert np.all(np.isfinite(p)) and np.all(p > 0.05), p
+        se = np.sqrt(float(rec.residuals @ rec.residuals) / (500 - 3) * rec.model.xtx_inv_diag[1:])
+        assert np.all(se > 0), se
 
     def test_null_significance_uniform(self):
         # pure-noise target: the t-test p-value for an irrelevant slope is U(0,1)
