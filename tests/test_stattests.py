@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from cause_sieve import seeding
@@ -8,10 +12,12 @@ from cause_sieve.model import CandidateSet
 from cause_sieve.regress import _MeanSmoother
 from cause_sieve.stattests import (
     _KERNEL_BLOCK_ROWS,
+    _median_bandwidth,
     _product_rbf_kernel,
     ad_uniform_test,
     gaussian_log_kernel,
     hsic_test,
+    hsic_tests,
     perm_significance,
 )
 
@@ -60,7 +66,7 @@ class TestHsic:
         assert base.p_value == pytest.approx(shifted.p_value, rel=1e-9)
 
     def test_kernel_matches_pairwise_definition(self):
-        # the sorted-lag median and the in-place exponent give exactly the
+        # the selected median and the in-place exponent give exactly the
         # floats of the textbook (n, n) construction, ties included
         x = np.round(np.random.default_rng(6).standard_normal((60, 2)), 1)
         expo = np.zeros((60, 60))
@@ -140,6 +146,106 @@ class TestHsic:
     def test_needs_twenty_rows(self):
         with pytest.raises(TooFewRows):
             hsic_test(np.arange(10.0), np.arange(10.0))
+
+    def test_several_noise_vectors_match_one_at_a_time(self):
+        rng = seeding.substream(3, 923)
+        x = rng.standard_normal((300, 2))
+        es = [x[:, 0] ** 2 + rng.standard_normal(300), rng.standard_normal(300), np.round(x[:, 1], 1)]
+        assert hsic_tests(x, es) == [hsic_test(x, e) for e in es]
+        assert hsic_tests(x, []) == []
+
+    def test_every_noise_vector_checked_first(self):
+        x = np.random.default_rng(9).standard_normal(50)
+        with pytest.raises(ConstantInput):
+            hsic_tests(x, [x, np.full(50, 0.3)])
+        with pytest.raises(BadParam):
+            hsic_tests(x, [x, x[:40]])
+
+    @pytest.mark.parametrize("where", ["x", "e"])
+    def test_non_finite_input_rejected(self, where):
+        x, e = np.random.default_rng(10).standard_normal((2, 50))
+        (x if where == "x" else e)[7] = np.nan
+        with pytest.raises(BadParam):
+            hsic_test(x, e)
+
+    def test_holds_two_kernel_arrays(self):
+        # the two (n, n) kernels and O(n) besides: no distance list, and
+        # further columns join the x kernel in row blocks
+        n = 1000
+        rng = seeding.substream(4, 924)
+        x = rng.standard_normal((n, 2))
+        e = x[:, 0] + rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            hsic_test(x, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * n * n * 8
+
+
+def _textbook_median(col):
+    """np.median of the non-zero pairwise distances, from the (n, n) matrix."""
+    d = col[:, None] - col[None, :]
+    tri = np.abs(d)[np.triu_indices(col.size, k=1)]
+    return float(np.median(tri[tri > 0]))
+
+
+def _median_corpus(n, rng):
+    """Columns of size n with and without ties, heavy tails and rounding
+    trouble."""
+    two_apart = np.zeros(n)
+    two_apart[:2] = (1.0, 2.0)
+    return {
+        "normal": rng.standard_normal(n),
+        "rounded": np.round(rng.standard_normal(n), 1),
+        "two levels": rng.integers(0, 2, n).astype(float),
+        "three levels": rng.integers(0, 3, n).astype(float),
+        "all but two tied": two_apart,
+        "pareto": (1.0 - rng.random(n)) ** -0.5,
+        "lognormal": rng.lognormal(0.0, 5.0, n),
+        "offset": 1e8 + 1e-8 * rng.integers(0, 50, n),
+        "mixed scales": np.concatenate([1e-17 * rng.standard_normal(n // 2), -1.0 - rng.random(n - n // 2)]),
+    }
+
+
+class TestMedianBandwidth:
+    @pytest.mark.parametrize("n", [20, 21, 57, 200, 501, 2000])
+    def test_matches_textbook_median(self, n):
+        # the same float as np.median over the non-zero distances, for odd
+        # and even counts of them
+        parities = set()
+        for name, col in _median_corpus(n, seeding.substream(n, 925)).items():
+            tri = np.abs(col[:, None] - col[None, :])[np.triu_indices(n, k=1)]
+            parities.add(np.count_nonzero(tri) % 2)
+            assert _median_bandwidth(col) == _textbook_median(col), name
+        assert parities == {0, 1}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1e-17, 0.25, 1.0, 1.0 + 2**-52, 3.0]), min_size=20, max_size=80))
+    def test_matches_textbook_median_with_ties(self, values):
+        col = np.array(values)
+        if np.ptp(col) == 0.0:
+            with pytest.raises(ConstantInput):
+                _median_bandwidth(col)
+        else:
+            assert _median_bandwidth(col) == _textbook_median(col)
+
+    def test_constant_column_rejected(self):
+        with pytest.raises(ConstantInput):
+            _median_bandwidth(np.full(40, 2.5))
+
+    def test_memory_is_linear_in_n(self):
+        # the n(n-1)/2 distances are never formed
+        n = 2000
+        col = seeding.substream(5, 926).standard_normal(n)
+        tracemalloc.start()
+        try:
+            _median_bandwidth(col)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n * 8
 
 
 class TestGaussianLogKernel:
