@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -6,8 +7,8 @@ import pytest
 from scipy.stats import kstest
 
 from cause_sieve import seeding
-from cause_sieve.errors import BadParam, DomainViolation, RankDeficient
-from cause_sieve.model import CandidateSet
+from cause_sieve.errors import BadParam, DomainViolation, RankDeficient, StatError
+from cause_sieve.model import CandidateSet, FunctionClass, enumerate_candidates
 from cause_sieve.regress import (
     _CpcmLocalEvaluator,
     _CpcmLocalModel,
@@ -20,6 +21,7 @@ from cause_sieve.regress import (
     recover_noise,
 )
 from cause_sieve.stattests import _PermutedLoss, ad_uniform_test, hsic_test, permutation_evaluator
+from cause_sieve.synth import gen_benchmark1, gen_benchmark3
 
 from conftest import table
 
@@ -256,6 +258,37 @@ class TestFitCpcm:
             rec = fit_cpcm(table(y, x), CandidateSet((1,)), "gamma", seed=seed)
             passes += ad_uniform_test(rec.eps).p_value > 0.05
         assert passes >= 7
+
+
+# sha256 over every candidate's eps, residuals, significance_p and fit_loss
+# (float64 bytes, in that order), or its error class name when the fit
+# fails.  The result JSON carries none of these floats, so this pins the
+# fit layer itself; a digest may move only with a deliberate numeric change
+FIT_PINNED = {
+    "linear": "c7639541290a1d4fc2dce0cf5f368d9c911384209835260ee15a856ca6afdb48",
+    "additive": "93c1c1639098ff6941dc66c0dd92f2c685544caf209a778a2119511bcb981f97",
+    "location-scale": "ef31b866ca4ce85f0052e29d3c50ff060ff796dc061a6ffe358723183d93d5df",
+    "cpcm:gaussian": "43813e6554bf18080485a3876e04e549ab26acd02924c40fdfb9ead42f40741d",
+    "cpcm:gamma": "fa32c62a9c2c7931842222a0486e55a137dc7e33ac53238102b7d2413ce508e1",
+    "cpcm:pareto": "e63af3a8d563dfe4ef29e36b6a0c7746df42fbb716285f1a1c89e00cb5decfdb",
+}
+
+
+def test_recover_noise_bytes_pinned():
+    tables = {1: gen_benchmark1(3, 120).data, 3: gen_benchmark3(3, 120).data}
+    for label, digest in FIT_PINNED.items():
+        f_class = FunctionClass.parse(label)
+        data = tables[3 if f_class.family in ("gamma", "pareto") else 1]
+        h = hashlib.sha256()
+        for s in enumerate_candidates(data.p):
+            try:
+                rec = recover_noise(data, s, f_class, seed=7)
+            except StatError as exc:
+                h.update(type(exc).__name__.encode())
+                continue
+            for a in (rec.eps, rec.residuals, rec.significance_p, rec.fit_loss):
+                h.update(np.asarray(a, dtype=np.float64).tobytes())
+        assert h.hexdigest() == digest, label
 
 
 def test_recover_noise_dispatch():
