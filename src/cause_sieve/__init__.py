@@ -32,7 +32,7 @@ from .model import (
     validate_dataset,
     write_csv,
 )
-from .regress import fit_additive, fit_cpcm, fit_linear, fit_location_scale, recover_noise
+from .regress import recover_noise
 from .stattests import (
     TestResult,
     ad_uniform_test,
@@ -88,10 +88,6 @@ __all__ = [
     "check_plausibility",
     "empty_parent_test",
     "enumerate_candidates",
-    "fit_additive",
-    "fit_cpcm",
-    "fit_linear",
-    "fit_location_scale",
     "gen_additive_grid",
     "gen_benchmark1",
     "gen_benchmark2",

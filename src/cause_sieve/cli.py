@@ -127,9 +127,6 @@ def cmd_discover(args) -> int:
     seed = _seed_of(args)
     f_class = FunctionClass.parse(args.f_class)
     data = load_csv(args.csv, args.target)
-    # a support violation of the target makes every candidate unfittable,
-    # so fail the whole run instead of reporting a vacuous empty search
-    f_class.check_support(data.y)
     cfg = DiscoveryConfig(alpha=args.alpha, seed=seed)
     result = analyze(data, f_class, cfg, mode=args.mode)
     save_result(result, args.out)

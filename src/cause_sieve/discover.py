@@ -139,7 +139,9 @@ def analyze(
     substreams, so the verdicts and the result JSON do not depend on
     ``jobs``.  A ``StatError`` marks its candidate implausible; any other
     exception stops the search and is raised here after every worker thread
-    has finished.
+    has finished.  Two faults that would fail every candidate are raised
+    before any fit: ``TooManyCovariates`` past the smoother dimension cap,
+    and ``DomainViolation`` for a target outside the family's support.
     """
     cfg = cfg or DiscoveryConfig()
     if mode not in ("isd", "score", "both"):
@@ -149,6 +151,9 @@ def analyze(
         raise TooManyCovariates(
             f"p={data.p} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP} for the {f_class.label} class"
         )
+    # a target outside the family's support makes every candidate
+    # unfittable: fail instead of returning a vacuous search
+    f_class.check_support(data.y)
 
     evaluate = partial(check_plausibility, data, f_class=f_class, cfg=cfg)
     # enumerate_candidates ascends in |S|, so the reversed list starts the

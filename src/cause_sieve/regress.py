@@ -1,14 +1,22 @@
 """Noise recovery for each function class.
 
-Every fit produces residual-style noise on the (0,1) scale plus one
-significance p-value per covariate.  The additive and location-scale
-classes estimate conditional means with penalized thin-plate-spline
-smoothing (penalty chosen by two-fold cross-validation); those classes
-restrict the noise to be additive, not the mean to be additive across
-covariates, so the smoother must represent interactions, and it must track
-the surface closely enough that the independence test sees only noise.
-The parametric class uses kernel-local maximum likelihood or moment
-matching with Silverman bandwidths.
+:func:`recover_noise` is the one entry point.  It looks the class up in
+``MODELS``, keyed like ``model.CLASS_CODES`` by ``(kind, family)``, whose
+entry is one model class: its constructor fits ``(x, y)``, ``noise(y)``
+returns the recovered noise on the (0,1) scale with its residuals and fit
+loss, and the same class is the held-out refit of the permutation
+significance test, supplying ``permutation_evaluator(x, y)``.  The linear
+model instead reports the t-tests of its slopes.
+
+The additive and location-scale classes estimate conditional means with
+penalized thin-plate-spline smoothing (penalty chosen by two-fold
+cross-validation); those classes restrict the noise to be additive, not the
+mean to be additive across covariates, so the smoother must represent
+interactions, and it must track the surface closely enough that the
+independence test sees only noise.  The parametric class uses the
+location-scale fit for the Gaussian family and kernel-local maximum
+likelihood or moment matching with Silverman bandwidths for the Pareto and
+Gamma families.
 """
 
 from __future__ import annotations
@@ -32,6 +40,22 @@ _TINY = np.finfo(float).tiny
 # --------------------------------------------------------------------- #
 # penalized spline smoothing of a conditional mean
 # --------------------------------------------------------------------- #
+
+
+class _PermutedLoss:
+    """Evaluator for a model with ``loss(x, y)``: each permuted loss
+    re-evaluates the model on a copy of ``x`` with one column permuted."""
+
+    def __init__(self, model, x: np.ndarray, y: np.ndarray):
+        self._model = model
+        self._x = x
+        self._y = y
+        self.baseline = model.loss(x, y)
+
+    def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
+        x = self._x.copy()
+        x[:, pos] = x[perm, pos]
+        return self._model.loss(x, self._y)
 
 
 class _MeanSmoother:
@@ -72,9 +96,17 @@ class _MeanSmoother:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self._spline(x / self._x_scale) * self._y_scale + self._y_mean
 
+    def noise(self, y: np.ndarray):
+        """Residuals, rank-PIT rescaled."""
+        resid = y - self.fitted
+        return pit_rescale(resid), resid, float(np.mean(resid**2))
+
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean squared prediction error."""
         return float(np.mean((y - self.predict(x)) ** 2))
+
+    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _PermutedLoss:
+        return _PermutedLoss(self, x, y)
 
 
 # E[log eps^2] for standard normal eps: psi(1/2) + log 2.  The smoother of
@@ -105,12 +137,34 @@ class _LocationScaleModel:
     def sigma_fitted(self) -> np.ndarray:
         return self._sigma_from_logvar(self.logvar_model.fitted)
 
+    def _standardized(self, y: np.ndarray):
+        """Residuals over the fitted scale, and the mean fit's squared error."""
+        resid = y - self.mu_model.fitted
+        return resid / self.sigma_fitted(), float(np.mean(resid**2))
+
+    def noise(self, y: np.ndarray):
+        """Standardized residuals, rank-PIT rescaled."""
+        z, fit_loss = self._standardized(y)
+        return pit_rescale(z), z, fit_loss
+
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Gaussian deviance; permuting a column moves the mean and the scale."""
         mu = self.mu(x)
         sigma = self.sigma(x)  # log-chi2 corrected
         z = (y - mu) / sigma
         return float(np.mean(np.log(sigma) + 0.5 * z * z))
+
+    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _PermutedLoss:
+        return _PermutedLoss(self, x, y)
+
+
+class _GaussianCpcmModel(_LocationScaleModel):
+    """The Gaussian family: the location-scale fit, with eps = Phi(z) of
+    the standardized residuals z in place of their rank PIT."""
+
+    def noise(self, y: np.ndarray):
+        z, fit_loss = self._standardized(y)
+        return np.clip(ndtr(z), EPS_CLIP, 1.0 - EPS_CLIP), z, fit_loss
 
 
 # --------------------------------------------------------------------- #
@@ -134,11 +188,11 @@ def _log_kernel_factors(x_tr: np.ndarray, x_ev: np.ndarray, hs: np.ndarray) -> n
     return out
 
 
-class _CpcmLocalEvaluator:
+class _KernelLocalEvaluator:
     """Permutation losses from the per-column log-kernel factors: permuting
     one column swaps one factor, so no kernel is rebuilt."""
 
-    def __init__(self, model: "_CpcmLocalModel", x: np.ndarray, y: np.ndarray):
+    def __init__(self, model: "_KernelLocalModel", x: np.ndarray, y: np.ndarray):
         self._model = model
         self._y = y
         self._factors = model.log_factors(x)
@@ -157,43 +211,32 @@ class _CpcmLocalEvaluator:
 CPCM_BANDWIDTH_SCALE = 0.8
 
 
-class _CpcmLocalModel:
-    """Kernel-weighted local parameter estimates for Pareto and Gamma families."""
+class _KernelLocalModel:
+    """Kernel-weighted local parameter estimates of a parametric family.
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, family: str):
-        self.family = family
+    A family subclass supplies ``_local_params(w)``, the parameters from the
+    (m, n) kernel weights of m evaluation points; ``nll(w, y)``, the mean
+    negative log-likelihood under them; and ``_transform(y, params)``, the
+    noise F(y; theta(x)) with the fit loss.  The transform is NOT rank
+    rescaled: only the parametric class carries distributional content, and
+    the uniformity question has to see it.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x_train = x
         self.y_train = y
         d = x.shape[1]
         self.bandwidths = CPCM_BANDWIDTH_SCALE * np.array([_silverman(x[:, j], d) for j in range(d)])
-        if family == "pareto":
-            self._log_y = np.log(y)
 
     def log_factors(self, x_ev: np.ndarray) -> np.ndarray:
         return _log_kernel_factors(self.x_train, x_ev, self.bandwidths)
 
-    def _local_params(self, w: np.ndarray):
-        """Local parameters from the (m, n) kernel weights of m evaluation points.
-
-        Pareto: tail index solving the weighted likelihood equation; with
-        uniform weights it collapses to the global MLE 1/mean(ln y).
-        Gamma: (shape, scale) by weighted moment matching.
-        """
+    @staticmethod
+    def _weight_sums(w: np.ndarray) -> np.ndarray:
         sw = w.sum(axis=1)
         if np.any(sw <= _TINY):
             raise DegenerateTheta("kernel weights underflow away from the data")
-        if self.family == "pareto":
-            with np.errstate(divide="ignore"):
-                theta = sw / (w @ self._log_y)
-            if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
-                raise DegenerateTheta("non-positive or non-finite Pareto index")
-            return theta
-        mu = (w @ self.y_train) / sw
-        second = (w @ (self.y_train * self.y_train)) / sw
-        var = second - mu * mu
-        if np.any(mu <= 0) or np.any(var <= 0) or not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise DegenerateTheta("degenerate local Gamma moments")
-        return mu * mu / var, var / mu
+        return sw
 
     def theta(self, x_ev: np.ndarray):
         """Local parameters at the evaluation points (see ``_local_params``).
@@ -206,17 +249,66 @@ class _CpcmLocalModel:
         logw = stattests.gaussian_log_kernel(x_ev, self.x_train, self.bandwidths)
         return self._local_params(np.exp(logw, out=logw))
 
+    def noise(self, y: np.ndarray):
+        """The parametric transform at the training rows, clipped strictly
+        inside (0,1); it serves as both eps and residuals."""
+        eps, fit_loss = self._transform(y, self.theta(self.x_train))
+        eps = np.clip(eps, EPS_CLIP, 1.0 - EPS_CLIP)
+        return eps, eps, fit_loss
+
+    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _KernelLocalEvaluator:
+        return _KernelLocalEvaluator(self, x, y)
+
+
+class _ParetoLocalModel(_KernelLocalModel):
+    """Local Pareto tail index on the support y >= 1."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        super().__init__(x, y)
+        self._log_y = np.log(y)
+
+    def _local_params(self, w: np.ndarray) -> np.ndarray:
+        """Tail index solving the weighted likelihood equation; with uniform
+        weights it collapses to the global MLE 1/mean(ln y)."""
+        sw = self._weight_sums(w)
+        with np.errstate(divide="ignore"):
+            theta = sw / (w @ self._log_y)
+        if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
+            raise DegenerateTheta("non-positive or non-finite Pareto index")
+        return theta
+
     def nll(self, w: np.ndarray, y: np.ndarray) -> float:
-        """Mean negative log-likelihood of ``y`` under the parameters the weights give."""
-        if self.family == "pareto":
-            theta = self._local_params(w)
-            return float(np.mean(-np.log(theta) + (theta + 1.0) * np.log(y)))
+        theta = self._local_params(w)
+        return float(np.mean(-np.log(theta) + (theta + 1.0) * np.log(y)))
+
+    @staticmethod
+    def _transform(y: np.ndarray, theta: np.ndarray):
+        median = 2.0 ** (1.0 / theta)  # the conditional mean may not exist
+        return 1.0 - y ** (-theta), float(np.mean((y - median) ** 2))
+
+
+class _GammaLocalModel(_KernelLocalModel):
+    """Local Gamma (shape, scale) on the support y > 0."""
+
+    def _local_params(self, w: np.ndarray):
+        """(shape, scale) by weighted moment matching."""
+        sw = self._weight_sums(w)
+        mu = (w @ self.y_train) / sw
+        second = (w @ (self.y_train * self.y_train)) / sw
+        var = second - mu * mu
+        if np.any(mu <= 0) or np.any(var <= 0) or not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
+            raise DegenerateTheta("degenerate local Gamma moments")
+        return mu * mu / var, var / mu
+
+    def nll(self, w: np.ndarray, y: np.ndarray) -> float:
         shape, scale = self._local_params(w)
         nll = -(shape - 1.0) * np.log(y) + y / scale + shape * np.log(scale) + gammaln(shape)
         return float(np.mean(nll))
 
-    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _CpcmLocalEvaluator:
-        return _CpcmLocalEvaluator(self, x, y)
+    @staticmethod
+    def _transform(y: np.ndarray, params):
+        shape, scale = params
+        return gamma_dist.cdf(y, a=shape, scale=scale), float(np.mean((y - shape * scale) ** 2))
 
 
 # --------------------------------------------------------------------- #
@@ -225,11 +317,20 @@ class _CpcmLocalModel:
 
 
 class _LinearModel:
-    """OLS fit on a design matrix [1, X] from its thin SVD.  Singular values
-    at or below eps * max(n, d + 1) * s_max count as zero; ``xtx_inv_diag`` is
-    diag((X'X)^-1) = sum_j (vt[j, i] / s[j])^2, which cannot go negative."""
+    """OLS fit on the design [1, X] from its thin SVD; noise by rank PIT of
+    the residuals, significance by per-slope two-sided t-tests.
 
-    def __init__(self, design: np.ndarray, y: np.ndarray):
+    One SVD gives the coefficients, the rank and the standard errors; X'X,
+    whose condition number is the design's squared, is never formed.
+    Singular values at or below eps * max(n, d + 1) * s_max count as zero;
+    ``xtx_inv_diag`` is diag((X'X)^-1) = sum_j (vt[j, i] / s[j])^2, which
+    cannot go negative."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n, d = x.shape
+        if d >= n - 1:
+            raise BadParam(f"|s|={d} too large for n={n}")
+        design = np.column_stack([np.ones(n), x])
         u, s, vt = np.linalg.svd(design, full_matrices=False)
         rank = int(np.sum(s > np.finfo(float).eps * max(design.shape) * s[0]))
         if rank < design.shape[1]:
@@ -239,145 +340,58 @@ class _LinearModel:
         self.xtx_inv_diag = np.sum(vs * vs, axis=1)
         self.intercept = float(coef[0])
         self.beta = coef[1:]
+        self.fitted = self.predict(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.intercept + x @ self.beta
 
+    def noise(self, y: np.ndarray):
+        resid = y - self.fitted
+        return pit_rescale(resid), resid, float(np.mean(resid**2))
+
+    def t_test_p(self, y: np.ndarray) -> np.ndarray:
+        """Two-sided t-test p-value of each slope."""
+        resid = y - self.fitted
+        dof = resid.size - self.beta.size - 1
+        sigma2 = float(resid @ resid) / dof
+        se = np.sqrt(sigma2 * self.xtx_inv_diag[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_stats = np.where(se > 0, self.beta / se, np.inf)
+        return np.clip(2.0 * student_t.sf(np.abs(t_stats), dof), 0.0, 1.0)
+
 
 # --------------------------------------------------------------------- #
-# public fits
+# the entry point
 # --------------------------------------------------------------------- #
 
 
-def fit_linear(data: Dataset, s: CandidateSet) -> NoiseRecovery:
-    """OLS on [1, X_s]; noise by rank PIT of the residuals; per-coefficient
-    two-sided t-tests for significance.  One thin SVD of the design gives the
-    coefficients, the rank and the standard errors; X'X, whose condition
-    number is the design's squared, is never formed."""
-    x = data.covariates(s)
-    y = data.y
-    n, d = x.shape
-    if d >= n - 1:
-        raise BadParam(f"|s|={d} too large for n={n}")
-    design = np.column_stack([np.ones(n), x])
-    model = _LinearModel(design, y)
-    resid = y - model.predict(x)
-
-    dof = n - d - 1
-    sigma2 = float(resid @ resid) / dof
-    se = np.sqrt(sigma2 * model.xtx_inv_diag[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se > 0, model.beta / se, np.inf)
-    p_values = 2.0 * student_t.sf(np.abs(t_stats), dof)
-
-    return NoiseRecovery(
-        eps=pit_rescale(resid),
-        residuals=resid,
-        significance_p=np.clip(p_values, 0.0, 1.0),
-        fit_loss=float(np.mean(resid**2)),
-        function_class=FunctionClass("linear"),
-        candidate=s,
-        model=model,
-    )
-
-
-def _check_dim(s: CandidateSet):
-    if len(s) > SMOOTHER_DIM_CAP:
-        raise BadParam(f"|s|={len(s)} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP}")
-
-
-def fit_additive(data: Dataset, s: CandidateSet, *, seed: int = 0) -> NoiseRecovery:
-    """Spline conditional-mean fit, residuals rank-PIT rescaled."""
-    _check_dim(s)
-    x = data.covariates(s)
-    y = data.y
-    model = _MeanSmoother(x, y)
-    resid = y - model.fitted
-    sig = stattests.perm_significance(data, s, _MeanSmoother, seed=seed)
-    return NoiseRecovery(
-        eps=pit_rescale(resid),
-        residuals=resid,
-        significance_p=sig,
-        fit_loss=float(np.mean(resid**2)),
-        function_class=FunctionClass("additive"),
-        candidate=s,
-        model=model,
-    )
-
-
-def _location_scale_fit(data: Dataset, s: CandidateSet, seed: int):
-    """The location-scale fit behind both the location-scale class and the
-    Gaussian cpcm family: (model, standardized residuals, mean-fit loss,
-    significance p-values)."""
-    x = data.covariates(s)
-    y = data.y
-    model = _LocationScaleModel(x, y)
-    resid = y - model.mu_model.fitted
-    sig = stattests.perm_significance(data, s, _LocationScaleModel, seed=seed)
-    return model, resid / model.sigma_fitted(), float(np.mean(resid**2)), sig
-
-
-def fit_location_scale(data: Dataset, s: CandidateSet, *, seed: int = 0) -> NoiseRecovery:
-    """Spline mean plus spline log-variance; standardized residuals PIT rescaled."""
-    _check_dim(s)
-    model, std_resid, fit_loss, sig = _location_scale_fit(data, s, seed)
-    return NoiseRecovery(
-        eps=pit_rescale(std_resid),
-        residuals=std_resid,
-        significance_p=sig,
-        fit_loss=fit_loss,
-        function_class=FunctionClass("location-scale"),
-        candidate=s,
-        model=model,
-    )
-
-
-def fit_cpcm(data: Dataset, s: CandidateSet, family: str, *, seed: int = 0) -> NoiseRecovery:
-    """Conditionally parametric fit; eps is the parametric transform F(y; theta(x)).
-
-    The transform is NOT rank rescaled: only the parametric class carries
-    distributional content, and the uniformity question has to see it.
-    """
-    _check_dim(s)
-    f_class = FunctionClass("cpcm", family)
-    y = data.y
-    f_class.check_support(y)
-
-    if family == "gaussian":
-        model, z, fit_loss, sig = _location_scale_fit(data, s, seed)
-        eps = np.clip(ndtr(z), EPS_CLIP, 1.0 - EPS_CLIP)
-        residuals = z  # the independence question sees the standardized scale
-    else:
-        x = data.covariates(s)
-        model = _CpcmLocalModel(x, y, family)
-        if family == "pareto":
-            theta = model.theta(x)
-            eps = 1.0 - y ** (-theta)
-            median = 2.0 ** (1.0 / theta)  # the conditional mean may not exist
-            fit_loss = float(np.mean((y - median) ** 2))
-        else:
-            shape, scale = model.theta(x)
-            eps = gamma_dist.cdf(y, a=shape, scale=scale)
-            fit_loss = float(np.mean((y - shape * scale) ** 2))
-        sig = stattests.perm_significance(data, s, lambda xt, yt: _CpcmLocalModel(xt, yt, family), seed=seed)
-        eps = residuals = np.clip(eps, EPS_CLIP, 1.0 - EPS_CLIP)
-    return NoiseRecovery(
-        eps=eps,
-        residuals=residuals,
-        significance_p=sig,
-        fit_loss=fit_loss,
-        function_class=f_class,
-        candidate=s,
-        model=model,
-    )
+# one model class per function class, keyed like model.CLASS_CODES
+MODELS = {
+    ("linear", None): _LinearModel,
+    ("additive", None): _MeanSmoother,
+    ("location-scale", None): _LocationScaleModel,
+    ("cpcm", "gaussian"): _GaussianCpcmModel,
+    ("cpcm", "gamma"): _GammaLocalModel,
+    ("cpcm", "pareto"): _ParetoLocalModel,
+}
 
 
 def recover_noise(data: Dataset, s: CandidateSet, f_class: FunctionClass, *, seed: int = 0) -> NoiseRecovery:
-    """Dispatch to the class-appropriate fit."""
-    if f_class.kind == "linear":
-        return fit_linear(data, s)
-    if f_class.kind == "additive":
-        return fit_additive(data, s, seed=seed)
-    if f_class.kind == "location-scale":
-        return fit_location_scale(data, s, seed=seed)
-    return fit_cpcm(data, s, f_class.family, seed=seed)
+    """Fit the class's model to the target on the covariates in ``s`` and
+    recover the noise, with one significance p-value per member: the slopes'
+    t-tests for the linear class, held-out permutation significance
+    (``stattests.perm_significance``, refitting the same model class) for
+    every other class.  Raises ``BadParam`` past the smoother dimension cap
+    and ``DomainViolation`` for a target outside the family's support."""
+    linear = f_class.kind == "linear"
+    if not linear and len(s) > SMOOTHER_DIM_CAP:
+        raise BadParam(f"|s|={len(s)} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP}")
+    y = data.y
+    f_class.check_support(y)
+    model = MODELS[(f_class.kind, f_class.family)](data.covariates(s), y)
+    eps, residuals, fit_loss = model.noise(y)
+    if linear:
+        sig = model.t_test_p(y)
+    else:
+        sig = stattests.perm_significance(data, s, type(model), seed=seed)
+    return NoiseRecovery(eps, residuals, sig, fit_loss, f_class, s, model)

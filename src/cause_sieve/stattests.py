@@ -351,29 +351,6 @@ def _ad_p_value(a2: float) -> float:
     return float(min(max(1.0 - cdf, 0.0), 1.0))
 
 
-class _PermutedLoss:
-    """Evaluator for a model with ``loss(x, y)``: each permuted loss
-    re-evaluates the model on a copy of ``x`` with one column permuted."""
-
-    def __init__(self, model, x: np.ndarray, y: np.ndarray):
-        self._model = model
-        self._x = x
-        self._y = y
-        self.baseline = model.loss(x, y)
-
-    def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
-        x = self._x.copy()
-        x[:, pos] = x[perm, pos]
-        return self._model.loss(x, self._y)
-
-
-def permutation_evaluator(model, x: np.ndarray, y: np.ndarray):
-    """The model's own evaluator when it has one, else a :class:`_PermutedLoss`."""
-    if hasattr(model, "permutation_evaluator"):
-        return model.permutation_evaluator(x, y)
-    return _PermutedLoss(model, x, y)
-
-
 def perm_significance(
     data: Dataset,
     s: CandidateSet,
@@ -383,15 +360,12 @@ def perm_significance(
 ) -> np.ndarray:
     """Permutation-importance p-values, one per member of ``s``.
 
-    ``refit(x, y)`` fits the class-appropriate model.  An evaluator on the
-    held-out rows supplies the losses: a ``baseline`` and
-    ``loss_with_permuted(pos, perm)``, the loss with column ``pos``
-    reordered by ``perm`` (the identity reproduces the baseline).  A model
-    with ``loss(x, y)`` (the splines' squared error or Gaussian deviance)
-    gets :class:`_PermutedLoss`, which re-evaluates it on a permuted copy;
-    a model may instead supply its own ``permutation_evaluator(x, y)``, as
-    the kernel-local parametric model does: its kernel factorises over
-    columns, so a permutation swaps one factor instead of rebuilding it.
+    ``refit(x, y)`` fits the class-appropriate model, and the model's
+    ``permutation_evaluator(x, y)`` on the held-out rows supplies the
+    losses: a ``baseline`` and ``loss_with_permuted(pos, perm)``, the loss
+    with column ``pos`` reordered by ``perm`` (the identity reproduces the
+    baseline).  Every model that is refitted here supplies its own
+    evaluator; there is no fallback.
 
     The model is fitted on a held-out split: half the rows train the model,
     the other half supply the losses.  Comparing the held-out baseline with
@@ -414,7 +388,7 @@ def perm_significance(
     train, test = order[:half], order[half:]
 
     model = refit(x[train], y[train])
-    evaluator = permutation_evaluator(model, x[test], y[test])
+    evaluator = model.permutation_evaluator(x[test], y[test])
     base = evaluator.baseline
 
     p_values = np.empty(len(s))

@@ -265,6 +265,16 @@ class TestDegenerateInput:
                 analyze(data, FunctionClass.parse(label), DiscoveryConfig(seed=0))
         assert calls == []
 
+    def test_support_violation_rejected_before_any_fit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(discover, "recover_noise", lambda *args, **kwargs: calls.append(args))
+        rng = seeding.substream(6, 777)
+        x = rng.standard_normal(40)
+        for label, y in (("cpcm:pareto", 0.5 + rng.random(40)), ("cpcm:gamma", rng.standard_normal(40))):
+            with pytest.raises(DomainViolation, match="family requires"):
+                analyze(table(y, x), FunctionClass.parse(label), DiscoveryConfig(seed=0))
+        assert calls == []
+
     def test_linear_class_has_no_smoother_cap(self):
         rng = seeding.substream(5, 777)
         data = table(rng.standard_normal(40), *(rng.standard_normal(40) for _ in range(7)))

@@ -8,29 +8,33 @@ from scipy.stats import kstest
 
 from cause_sieve import seeding
 from cause_sieve.errors import BadParam, DomainViolation, RankDeficient, StatError
-from cause_sieve.model import CandidateSet, FunctionClass, enumerate_candidates
+from cause_sieve.model import CLASS_CODES, CandidateSet, FunctionClass, enumerate_candidates
 from cause_sieve.regress import (
-    _CpcmLocalEvaluator,
-    _CpcmLocalModel,
-    _LocationScaleModel,
-    _MeanSmoother,
-    fit_additive,
-    fit_cpcm,
-    fit_linear,
-    fit_location_scale,
+    MODELS,
+    _KernelLocalEvaluator,
+    _KernelLocalModel,
+    _ParetoLocalModel,
     recover_noise,
 )
-from cause_sieve.stattests import _PermutedLoss, ad_uniform_test, hsic_test, permutation_evaluator
+from cause_sieve.stattests import ad_uniform_test, hsic_test
 from cause_sieve.synth import gen_benchmark1, gen_benchmark3
 
 from conftest import table
+
+LINEAR = FunctionClass("linear")
+ADDITIVE = FunctionClass("additive")
+LOCATION_SCALE = FunctionClass("location-scale")
+
+
+def cpcm(family: str) -> FunctionClass:
+    return FunctionClass("cpcm", family)
 
 
 class TestFitLinear:
     def test_perfect_line(self):
         x = np.linspace(0, 2, 21)
         data = table(0.1 + x, x)
-        rec = fit_linear(data, CandidateSet((1,)))
+        rec = recover_noise(data, CandidateSet((1,)), LINEAR)
         assert rec.model.beta[0] == pytest.approx(1.0, abs=1e-10)
         assert rec.model.intercept == pytest.approx(0.1, abs=1e-10)
         assert rec.fit_loss < 1e-20
@@ -47,7 +51,7 @@ class TestFitLinear:
         x = rng.standard_normal((300, 3))
         y = x @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(300)
         data = table(y, *(x[:, j] for j in range(3)))
-        rec = fit_linear(data, CandidateSet((1, 2, 3)))
+        rec = recover_noise(data, CandidateSet((1, 2, 3)), LINEAR)
         resid = y - rec.model.predict(x)
         bound = 1e-8 * 300 * np.std(y)
         for j in range(3):
@@ -58,7 +62,7 @@ class TestFitLinear:
         x1 = rng.standard_normal(100)
         data = table(rng.standard_normal(100), x1, 2.0 * x1)
         with pytest.raises(RankDeficient):
-            fit_linear(data, CandidateSet((1, 2)))
+            recover_noise(data, CandidateSet((1, 2)), LINEAR)
 
     def test_near_collinear_slopes_keep_finite_p_values(self):
         # x2 = x1 + 1e-8 noise: each slope's t-test is the test of the tiny
@@ -71,7 +75,7 @@ class TestFitLinear:
         y = x1 + rng.standard_normal(500)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rec = fit_linear(table(y, x1, x2), CandidateSet((1, 2)))
+            rec = recover_noise(table(y, x1, x2), CandidateSet((1, 2)), LINEAR)
         p = rec.significance_p
         assert np.all(np.isfinite(p)) and np.all(p > 0.05), p
         se = np.sqrt(float(rec.residuals @ rec.residuals) / (500 - 3) * rec.model.xtx_inv_diag[1:])
@@ -83,7 +87,7 @@ class TestFitLinear:
         for seed in range(300):
             rng = seeding.substream(seed, 901)
             data = table(rng.standard_normal(100), rng.standard_normal(100))
-            ps.append(fit_linear(data, CandidateSet((1,))).significance_p[0])
+            ps.append(recover_noise(data, CandidateSet((1,)), LINEAR).significance_p[0])
         assert np.mean(np.asarray(ps) > 0.05) > 0.9
         assert kstest(ps, "uniform").pvalue > 0.01
 
@@ -96,7 +100,7 @@ class TestFitLinear:
             x = rng.standard_normal((400, 2))
             y = 1.5 * x[:, 0] - 2.0 * x[:, 1] + rng.standard_normal(400)
             data = table(y, x[:, 0], x[:, 1])
-            rec = fit_linear(data, CandidateSet((1,)))
+            rec = recover_noise(data, CandidateSet((1,)), LINEAR)
             passes += hsic_test(x[:, 0], rec.residuals).p_value > 0.05
         assert passes >= 25
 
@@ -108,13 +112,13 @@ class TestFitAdditive:
             rng = seeding.substream(seed, 903)
             x = rng.standard_normal(500)
             y = np.sin(3 * x) + 0.1 * rng.standard_normal(500)
-            rec = fit_additive(table(y, x), CandidateSet((1,)), seed=seed)
+            rec = recover_noise(table(y, x), CandidateSet((1,)), ADDITIVE, seed=seed)
             losses.append(rec.fit_loss)
         assert max(losses) <= 0.05
 
     def test_exact_linear_reproduced(self):
         x = np.linspace(-2, 2, 200)
-        rec = fit_additive(table(3.0 * x, x), CandidateSet((1,)), seed=0)
+        rec = recover_noise(table(3.0 * x, x), CandidateSet((1,)), ADDITIVE, seed=0)
         assert rec.fit_loss <= 1e-4
 
     def test_dimension_cap(self):
@@ -122,15 +126,15 @@ class TestFitAdditive:
         cols = [rng.standard_normal(60) for _ in range(7)]
         data = table(rng.standard_normal(60), *cols)
         with pytest.raises(BadParam):
-            fit_additive(data, CandidateSet(tuple(range(1, 8))))
+            recover_noise(data, CandidateSet(tuple(range(1, 8))), ADDITIVE)
 
     def test_deterministic_replay(self):
         rng = seeding.substream(3, 903)
         x = rng.standard_normal((300, 2))
         y = x[:, 0] ** 2 + rng.standard_normal(300)
         data = table(y, x[:, 0], x[:, 1])
-        a = fit_additive(data, CandidateSet((1, 2)), seed=11)
-        b = fit_additive(data, CandidateSet((1, 2)), seed=11)
+        a = recover_noise(data, CandidateSet((1, 2)), ADDITIVE, seed=11)
+        b = recover_noise(data, CandidateSet((1, 2)), ADDITIVE, seed=11)
         np.testing.assert_array_equal(a.eps, b.eps)
         np.testing.assert_array_equal(a.significance_p, b.significance_p)
 
@@ -142,7 +146,7 @@ class TestFitLocationScale:
             rng = seeding.substream(seed, 904)
             x = rng.standard_normal(1000)
             y = (1.0 + x * x) * rng.standard_normal(1000)
-            rec = fit_location_scale(table(y, x), CandidateSet((1,)), seed=seed)
+            rec = recover_noise(table(y, x), CandidateSet((1,)), LOCATION_SCALE, seed=seed)
             passes += hsic_test(x, rec.residuals).p_value > 0.05
         assert passes >= 17
 
@@ -150,7 +154,7 @@ class TestFitLocationScale:
         rng = seeding.substream(4, 904)
         x = rng.standard_normal(1000)
         y = rng.standard_normal(1000)
-        rec = fit_location_scale(table(y, x), CandidateSet((1,)), seed=0)
+        rec = recover_noise(table(y, x), CandidateSet((1,)), LOCATION_SCALE, seed=0)
         sigma = rec.model.sigma(x[:, None])
         assert np.std(sigma) / np.mean(sigma) <= 0.2
 
@@ -158,7 +162,7 @@ class TestFitLocationScale:
         # an exactly representable target drives residuals to zero; the
         # sigma floor keeps the standardization finite
         x = np.linspace(-1, 1, 50)
-        rec = fit_location_scale(table(2.0 * x, x), CandidateSet((1,)), seed=0)
+        rec = recover_noise(table(2.0 * x, x), CandidateSet((1,)), LOCATION_SCALE, seed=0)
         assert np.all(np.isfinite(rec.eps))
         assert np.all((rec.eps > 0) & (rec.eps < 1))
 
@@ -169,7 +173,7 @@ class TestFitCpcm:
         rng = seeding.substream(5, 905)
         y = (1.0 - rng.random(2000)) ** -1.0
         x = rng.standard_normal(2000)
-        rec = fit_cpcm(table(y, x), CandidateSet((1,)), "pareto", seed=0)
+        rec = recover_noise(table(y, x), CandidateSet((1,)), cpcm("pareto"), seed=0)
         theta = rec.model.theta(np.zeros((1, 1)))[0]
         assert theta == pytest.approx(1.0, abs=0.1)
         assert 1.0 - 2.0 ** (-theta) == pytest.approx(0.5, abs=0.05)
@@ -178,7 +182,7 @@ class TestFitCpcm:
         rng = seeding.substream(6, 905)
         y = (1.0 - rng.random(300)) ** (-1.0 / 2.0)
         x = rng.standard_normal((300, 1))
-        model = _CpcmLocalModel(x, y, "pareto")
+        model = _ParetoLocalModel(x, y)
         model.bandwidths = np.array([1e6])  # effectively uniform weights
         theta = model.theta(x)
         np.testing.assert_allclose(theta, 1.0 / np.mean(np.log(y)), rtol=1e-6)
@@ -190,7 +194,7 @@ class TestFitCpcm:
         rng = seeding.substream(7, 905)
         x = rng.standard_normal((200, 3))
         y = (1.0 - rng.random(200)) ** -0.5 if family == "pareto" else rng.gamma(2.0, 1.0 + x[:, 0] ** 2)
-        model = _CpcmLocalModel(x[:100], y[:100], family)
+        model = MODELS[("cpcm", family)](x[:100], y[:100])
         for x_ev in (x[:100], x[100:]):
             expected = model._local_params(np.exp(model.log_factors(x_ev).sum(axis=0)))
             np.testing.assert_array_equal(model.theta(x_ev), expected)
@@ -200,7 +204,7 @@ class TestFitCpcm:
         # in row blocks, not as whole (m, n) temporaries
         rng = seeding.substream(8, 905)
         x = rng.standard_normal((1000, 3))
-        model = _CpcmLocalModel(x, (1.0 - rng.random(1000)) ** -0.5, "pareto")
+        model = _ParetoLocalModel(x, (1.0 - rng.random(1000)) ** -0.5)
         tracemalloc.start()
         try:
             model.theta(x)
@@ -215,7 +219,7 @@ class TestFitCpcm:
             rng = seeding.substream(seed, 906)
             y = (1.0 - rng.random(1000)) ** (-1.0 / 2.0)
             x = rng.standard_normal(1000)
-            rec = fit_cpcm(table(y, x), CandidateSet((1,)), "pareto", seed=seed)
+            rec = recover_noise(table(y, x), CandidateSet((1,)), cpcm("pareto"), seed=seed)
             passes += ad_uniform_test(rec.eps).p_value > 0.05
         assert passes >= 17
 
@@ -225,7 +229,7 @@ class TestFitCpcm:
             rng = seeding.substream(seed, 907)
             x = rng.standard_normal(1000)
             y = (1.0 + x * x) * rng.standard_normal(1000)
-            rec = fit_cpcm(table(y, x), CandidateSet((1,)), "gaussian", seed=seed)
+            rec = recover_noise(table(y, x), CandidateSet((1,)), cpcm("gaussian"), seed=seed)
             hsic_passes += hsic_test(x, rec.residuals).p_value > 0.05
             ad_passes += ad_uniform_test(rec.eps).p_value > 0.05
         assert hsic_passes >= 16
@@ -235,17 +239,17 @@ class TestFitCpcm:
         rng = seeding.substream(7, 905)
         x = rng.standard_normal(100)
         with pytest.raises(DomainViolation):
-            fit_cpcm(table(rng.random(100), x), CandidateSet((1,)), "pareto")
+            recover_noise(table(rng.random(100), x), CandidateSet((1,)), cpcm("pareto"))
         with pytest.raises(DomainViolation):
-            fit_cpcm(table(rng.standard_normal(100), x), CandidateSet((1,)), "gamma")
+            recover_noise(table(rng.standard_normal(100), x), CandidateSet((1,)), cpcm("gamma"))
 
     def test_gaussian_eps_ranks_match_location_scale(self):
         rng = seeding.substream(8, 905)
         x = rng.standard_normal(400)
         y = x + (1.0 + 0.5 * x * x) * rng.standard_normal(400)
         data = table(y, x)
-        ls = fit_location_scale(data, CandidateSet((1,)), seed=1)
-        cg = fit_cpcm(data, CandidateSet((1,)), "gaussian", seed=1)
+        ls = recover_noise(data, CandidateSet((1,)), LOCATION_SCALE, seed=1)
+        cg = recover_noise(data, CandidateSet((1,)), cpcm("gaussian"), seed=1)
         np.testing.assert_array_equal(np.argsort(ls.eps), np.argsort(cg.eps))
 
     def test_gamma_family_recovers_uniform_eps(self):
@@ -255,7 +259,7 @@ class TestFitCpcm:
             x = rng.standard_normal(800)
             shape = 2.0 + np.tanh(x) ** 2
             y = rng.gamma(shape, 1.5)
-            rec = fit_cpcm(table(y, x), CandidateSet((1,)), "gamma", seed=seed)
+            rec = recover_noise(table(y, x), CandidateSet((1,)), cpcm("gamma"), seed=seed)
             passes += ad_uniform_test(rec.eps).p_value > 0.05
         assert passes >= 7
 
@@ -297,29 +301,36 @@ def test_recover_noise_dispatch():
     y = x + rng.standard_normal(200)
     data = table(y, x)
     for label in ("linear", "additive", "location-scale", "cpcm:gaussian"):
-        from cause_sieve.model import FunctionClass
-
         rec = recover_noise(data, CandidateSet((1,)), FunctionClass.parse(label), seed=0)
         assert rec.function_class.label == label
         assert rec.eps.shape == (200,)
 
 
+def test_one_model_per_function_class():
+    assert MODELS.keys() == CLASS_CODES.keys()
+
+
+# every non-linear model is a held-out refit of the significance test: the
+# splines' evaluators re-evaluate the model, the kernel-local ones factorise
+_KERNEL_LOCAL = {key: cls for key, cls in MODELS.items() if issubclass(cls, _KernelLocalModel)}
+_SPLINES = [cls for key, cls in MODELS.items() if key != ("linear", None) and key not in _KERNEL_LOCAL]
+
+
 class TestPermutationEvaluator:
     """The identity permutation reproduces each evaluator's held-out baseline."""
 
-    @pytest.mark.parametrize("model_cls", [_MeanSmoother, _LocationScaleModel])
+    @pytest.mark.parametrize("model_cls", _SPLINES, ids=lambda cls: cls.__name__)
     def test_generic_evaluator_identity_is_exact(self, model_cls):
         rng = seeding.substream(0, 910)
         x = rng.standard_normal((200, 2))
         y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, 1] ** 2) * rng.standard_normal(200)
         model = model_cls(x[:100], y[:100])
-        ev = permutation_evaluator(model, x[100:], y[100:])
-        assert isinstance(ev, _PermutedLoss)
+        ev = model.permutation_evaluator(x[100:], y[100:])
         assert ev.baseline == model.loss(x[100:], y[100:])
         for pos in range(2):
             assert ev.loss_with_permuted(pos, np.arange(100)) == ev.baseline
 
-    @pytest.mark.parametrize("family", ["pareto", "gamma"])
+    @pytest.mark.parametrize("family", [family for _, family in _KERNEL_LOCAL])
     def test_factorised_cpcm_identity_within_rounding(self, family):
         rng = seeding.substream(1, 910)
         x = rng.standard_normal((200, 2))
@@ -327,8 +338,8 @@ class TestPermutationEvaluator:
             y = (1.0 - rng.random(200)) ** (-1.0 / (2.0 + np.tanh(x[:, 0])))
         else:
             y = rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5)
-        model = _CpcmLocalModel(x[:100], y[:100], family)
-        ev = permutation_evaluator(model, x[100:], y[100:])
-        assert isinstance(ev, _CpcmLocalEvaluator)
+        model = _KERNEL_LOCAL[("cpcm", family)](x[:100], y[:100])
+        ev = model.permutation_evaluator(x[100:], y[100:])
+        assert isinstance(ev, _KernelLocalEvaluator)
         for pos in range(2):
             assert ev.loss_with_permuted(pos, np.arange(100)) == pytest.approx(ev.baseline, rel=1e-12, abs=0.0)
