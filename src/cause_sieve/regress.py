@@ -179,15 +179,6 @@ def _silverman(x: np.ndarray, dim: int) -> float:
     return 1.06 * sd * x.size ** (-1.0 / (4.0 + dim))
 
 
-def _log_kernel_factors(x_tr: np.ndarray, x_ev: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """(d, m, n) array of per-column Gaussian log-kernels."""
-    d = x_tr.shape[1]
-    out = np.empty((d, x_ev.shape[0], x_tr.shape[0]))
-    for j in range(d):
-        stattests.gaussian_log_kernel(x_ev[:, j : j + 1], x_tr[:, j : j + 1], hs[j : j + 1], out=out[j])
-    return out
-
-
 class _KernelLocalEvaluator:
     """Permutation losses from the per-column log-kernel factors: permuting
     one column swaps one factor, so no kernel is rebuilt."""
@@ -229,10 +220,16 @@ class _KernelLocalModel:
         self.bandwidths = CPCM_BANDWIDTH_SCALE * np.array([_silverman(x[:, j], d) for j in range(d)])
 
     def log_factors(self, x_ev: np.ndarray) -> np.ndarray:
-        return _log_kernel_factors(self.x_train, x_ev, self.bandwidths)
+        """(d, m, n) array of per-column Gaussian log-kernels."""
+        x_tr, hs = self.x_train, self.bandwidths
+        out = np.empty((x_tr.shape[1], x_ev.shape[0], x_tr.shape[0]))
+        for j in range(x_tr.shape[1]):
+            stattests.gaussian_log_kernel(x_ev[:, j : j + 1], x_tr[:, j : j + 1], hs[j : j + 1], out=out[j])
+        return out
 
     @staticmethod
     def _weight_sums(w: np.ndarray) -> np.ndarray:
+        """Row sums of the kernel weights; ``DegenerateTheta`` if one underflows."""
         sw = w.sum(axis=1)
         if np.any(sw <= _TINY):
             raise DegenerateTheta("kernel weights underflow away from the data")
@@ -388,10 +385,11 @@ def recover_noise(data: Dataset, s: CandidateSet, f_class: FunctionClass, *, see
         raise BadParam(f"|s|={len(s)} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP}")
     y = data.y
     f_class.check_support(y)
-    model = MODELS[(f_class.kind, f_class.family)](data.covariates(s), y)
+    model_cls = MODELS[(f_class.kind, f_class.family)]
+    model = model_cls(data.covariates(s), y)
     eps, residuals, fit_loss = model.noise(y)
     if linear:
         sig = model.t_test_p(y)
     else:
-        sig = stattests.perm_significance(data, s, type(model), seed=seed)
+        sig = stattests.perm_significance(data, s, model_cls, seed=seed)
     return NoiseRecovery(eps, residuals, sig, fit_loss, f_class, s, model)
