@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import gamma as gamma_dist
 
 from . import seeding
 from .errors import BadParam, DomainViolation, StatError, TooManyCovariates
@@ -28,7 +26,7 @@ from .model import (
     enumerate_candidates,
 )
 from .parallel import thread_map
-from .regress import PENALTY_GRID, SMOOTHER_DIM_CAP, recover_noise
+from .regress import EPS_CLIP, MODELS, PENALTY_GRID, SMOOTHER_DIM_CAP, recover_noise
 from .stattests import LOG_P_FLOOR, SIG_PERMUTATIONS, TestResult, ad_uniform_test, hsic_test
 
 NEG_INF = float("-inf")
@@ -80,8 +78,8 @@ def check_plausibility(
     try:
         recovery = recover_noise(data, s, f_class, seed=seeding.child_seed(cfg.seed, f_class.code))
         indep = hsic_test(data.covariates(s), recovery.residuals)
-        # a class that skips the uniformity question answers it with p = 1
-        p_dist = 1.0 if f_class.skip_distribution else ad_uniform_test(recovery.eps).p_value
+        # only the parametric class asks the uniformity question; the rest answer p = 1
+        p_dist = ad_uniform_test(recovery.eps).p_value if MODELS[f_class.key].parametric else 1.0
     except StatError as exc:
         # one degenerate candidate (domain violation, rank deficiency, ...)
         # must not abort a full search: score it implausible and move on
@@ -146,14 +144,15 @@ def analyze(
     cfg = cfg or DiscoveryConfig()
     if mode not in ("isd", "score", "both"):
         raise BadParam(f"unknown mode {mode!r}")
-    if f_class.kind != "linear" and data.p > SMOOTHER_DIM_CAP:
+    model_cls = MODELS[f_class.key]
+    if model_cls.smoother and data.p > SMOOTHER_DIM_CAP:
         # the full set could never be fitted; fail before any candidate is
         raise TooManyCovariates(
             f"p={data.p} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP} for the {f_class.label} class"
         )
     # a target outside the family's support makes every candidate
     # unfittable: fail instead of returning a vacuous search
-    f_class.check_support(data.y)
+    model_cls.check_support(data.y)
 
     evaluate = partial(check_plausibility, data, f_class=f_class, cfg=cfg)
     # enumerate_candidates ascends in |S|, so the reversed list starts the
@@ -207,29 +206,16 @@ def score_search(data: Dataset, f_class: FunctionClass, cfg: DiscoveryConfig | N
 def empty_parent_test(data: Dataset, family: str) -> TestResult:
     """Can the target's marginal be the family with constant parameters?
 
-    Fits global parameters, transforms u = F(y; theta_hat), and tests
-    uniformity.  Conservative, since the parameters are fitted from the
-    same sample.
+    Fits global parameters, transforms u = F(y; theta_hat) (``marginal_noise``),
+    and tests uniformity.  Conservative, since the parameters are fitted from
+    the same sample.  A constant target fits no family: ``DomainViolation``.
     """
+    model_cls = MODELS[FunctionClass("cpcm", family).key]
     y = data.y
-    FunctionClass("cpcm", family).check_support(y)  # BadParam for an unknown family
-    if family == "gaussian":
-        mu, sd = float(np.mean(y)), float(np.std(y, ddof=1))
-        if sd == 0:
-            raise DomainViolation("constant target")
-        u = ndtr((y - mu) / sd)
-    elif family == "pareto":
-        mean_log = float(np.mean(np.log(y)))
-        if mean_log == 0:  # every y is 1, the only point where log y is 0
-            raise DomainViolation("constant target")
-        theta = 1.0 / mean_log
-        u = 1.0 - y ** (-theta)
-    else:
-        mu, var = float(np.mean(y)), float(np.var(y, ddof=1))
-        if var <= 0:
-            raise DomainViolation("constant target")
-        u = gamma_dist.cdf(y, a=mu * mu / var, scale=var / mu)
-    return ad_uniform_test(np.clip(u, 1e-12, 1.0 - 1e-12))
+    model_cls.check_support(y)
+    if np.ptp(y) == 0.0:
+        raise DomainViolation("constant target")
+    return ad_uniform_test(np.clip(model_cls.marginal_noise(y), EPS_CLIP, 1.0 - EPS_CLIP))
 
 
 def metrics(true_pa, estimates) -> tuple[float, float]:

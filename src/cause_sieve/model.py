@@ -19,7 +19,6 @@ from scipy.stats import rankdata
 from .errors import (
     BadParam,
     ConstantColumn,
-    DomainViolation,
     MissingTarget,
     NonFiniteEntry,
     TooFewRows,
@@ -29,9 +28,6 @@ from .errors import (
 
 MIN_ROWS = 20
 MAX_P = 12  # enumeration cap: 2^12 - 1 candidate sets
-
-KINDS = ("linear", "additive", "location-scale", "cpcm")
-FAMILIES = ("gaussian", "gamma", "pareto")
 
 # stable integer codes for PRNG key derivation (never hash() strings)
 CLASS_CODES = {
@@ -48,55 +44,38 @@ CLASS_CODES = {
 class FunctionClass:
     """Structural restriction on the target's assignment function.
 
-    ``kind`` selects among linear, additive, location-scale, and the
-    conditionally parametric model; ``family`` names the parametric family
-    and must be present exactly when ``kind == "cpcm"``.
+    ``kind`` is linear, additive, location-scale or cpcm (conditionally
+    parametric), which alone takes a ``family``.  The pair is validated
+    against ``CLASS_CODES``; as ``key`` it indexes ``regress.MODELS``, whose
+    model class holds every other fact of the class.
     """
 
     kind: str
     family: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise BadParam(f"unknown function class kind {self.kind!r}")
-        if self.kind == "cpcm":
-            if self.family not in FAMILIES:
-                raise BadParam(f"cpcm requires a family in {FAMILIES}, got {self.family!r}")
-        elif self.family is not None:
-            raise BadParam(f"family is only valid for cpcm, got kind={self.kind!r}")
+        if self.key not in CLASS_CODES:
+            labels = ", ".join(f"{k}:{f}" if f else k for k, f in CLASS_CODES)
+            raise BadParam(f"unknown function class {self.key}; expected one of {labels}")
 
     @classmethod
     def parse(cls, text: str) -> "FunctionClass":
         """Parse CLI-style labels: ``linear``, ``additive``, ``location-scale``,
         ``cpcm:gaussian``, ``cpcm:gamma``, ``cpcm:pareto``."""
-        text = text.strip().lower()
-        if text.startswith("cpcm:"):
-            return cls("cpcm", text.split(":", 1)[1])
-        if text == "cpcm":
-            raise BadParam("cpcm needs a family, e.g. cpcm:gaussian")
-        return cls(text)
+        kind, sep, family = text.strip().lower().partition(":")
+        return cls(kind, family if sep else None)
+
+    @property
+    def key(self) -> tuple[str, str | None]:
+        return (self.kind, self.family)
 
     @property
     def label(self) -> str:
         return f"{self.kind}:{self.family}" if self.family else self.kind
 
     @property
-    def skip_distribution(self) -> bool:
-        """Rank-based noise rescaling makes the uniformity question vacuous
-        for every class except the parametric one."""
-        return self.kind != "cpcm"
-
-    @property
     def code(self) -> int:
-        return CLASS_CODES[(self.kind, self.family)]
-
-    def check_support(self, y) -> None:
-        """Raise ``DomainViolation`` when the target leaves the family's
-        support: Pareto needs Y >= 1, Gamma needs Y > 0."""
-        if self.family == "pareto" and np.min(y) < 1.0:
-            raise DomainViolation(f"Pareto family requires Y >= 1, found min {np.min(y)}")
-        if self.family == "gamma" and np.min(y) <= 0.0:
-            raise DomainViolation(f"Gamma family requires Y > 0, found min {np.min(y)}")
+        return CLASS_CODES[self.key]
 
 
 @dataclass(frozen=True)
@@ -121,9 +100,6 @@ class CandidateSet:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, i) -> bool:
-        return i in self.members
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -143,10 +119,6 @@ class Dataset:
     @property
     def y(self) -> np.ndarray:
         return self.values[:, 0]
-
-    @property
-    def target_name(self) -> str:
-        return self.names[0]
 
     def covariates(self, s: CandidateSet) -> np.ndarray:
         """n x |s| matrix of the covariates in ``s`` (column order = sorted members)."""

@@ -1,12 +1,18 @@
 """Noise recovery for each function class.
 
-:func:`recover_noise` is the one entry point.  It looks the class up in
-``MODELS``, keyed like ``model.CLASS_CODES`` by ``(kind, family)``, whose
-entry is one model class: its constructor fits ``(x, y)``, ``noise(y)``
-returns the recovered noise on the (0,1) scale with its residuals and fit
-loss, and the same class is the held-out refit of the permutation
-significance test, supplying ``permutation_evaluator(x, y)``.  The linear
-model instead reports the t-tests of its slopes.
+:func:`recover_noise` is the one entry point.  ``MODELS`` maps each
+``FunctionClass.key`` to one model class, the one home of that class's
+facts.  Its constructor fits ``(x, y)``; ``noise(y)`` returns the noise on
+the (0,1) scale with its residuals and fit loss; ``significance_p(data, s,
+seed)`` gives one p-value per member of ``s``: held-out permutation
+significance (``stattests.perm_significance`` refits the class, which
+supplies ``permutation_evaluator(x, y)``), or the linear slopes' t-tests.
+``smoother`` says whether ``SMOOTHER_DIM_CAP`` bounds ``|s|`` (all but
+linear); ``check_support(y)`` raises ``DomainViolation`` outside the
+family's support (Pareto y >= 1, Gamma y > 0); ``parametric`` marks the
+cpcm families, the only ones whose noise distribution is testable and so
+asked the uniformity question, and each has ``marginal_noise(y)``: the
+transform under constant parameters fitted to the marginal of y.
 
 The additive and location-scale classes estimate conditional means with
 penalized thin-plate-spline smoothing (penalty chosen by two-fold
@@ -28,13 +34,32 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import t as student_t
 
 from . import stattests
-from .errors import BadParam, DegenerateTheta, RankDeficient
+from .errors import BadParam, DegenerateTheta, DomainViolation, RankDeficient
 from .model import CandidateSet, Dataset, FunctionClass, NoiseRecovery, pit_rescale
 
 SMOOTHER_DIM_CAP = 6
 PENALTY_GRID = (1e-2, 1e-1, 1e0, 1e1, 1e2)  # spline roughness penalties, chosen by two-fold CV
 EPS_CLIP = 1e-12  # keeps parametric eps strictly inside (0,1)
 _TINY = np.finfo(float).tiny
+
+
+class _Model:
+    """The defaults of the class facts (see the module docstring)."""
+
+    smoother = True
+    parametric = False
+
+    @staticmethod
+    def check_support(y: np.ndarray) -> None:
+        """Every real target lies in the support."""
+
+    def noise(self, y: np.ndarray):
+        """Residuals from the fitted values, rank-PIT rescaled."""
+        resid = y - self.fitted
+        return pit_rescale(resid), resid, float(np.mean(resid**2))
+
+    def significance_p(self, data: Dataset, s: CandidateSet, seed: int) -> np.ndarray:
+        return stattests.perm_significance(data, s, type(self), seed=seed)
 
 
 # --------------------------------------------------------------------- #
@@ -58,7 +83,7 @@ class _PermutedLoss:
         return self._model.loss(x, self._y)
 
 
-class _MeanSmoother:
+class _MeanSmoother(_Model):
     """Thin-plate-spline estimate of E[y|x] with CV-chosen penalty.
 
     Covariates are rescaled to unit variance and the response is
@@ -96,11 +121,6 @@ class _MeanSmoother:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self._spline(x / self._x_scale) * self._y_scale + self._y_mean
 
-    def noise(self, y: np.ndarray):
-        """Residuals, rank-PIT rescaled."""
-        resid = y - self.fitted
-        return pit_rescale(resid), resid, float(np.mean(resid**2))
-
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean squared prediction error."""
         return float(np.mean((y - self.predict(x)) ** 2))
@@ -115,7 +135,7 @@ class _MeanSmoother:
 _LOG_CHI2_MEAN = -1.2703628454614782
 
 
-class _LocationScaleModel:
+class _LocationScaleModel(_Model):
     """Two-stage heteroscedastic fit: mean, then log squared residuals."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -162,6 +182,12 @@ class _GaussianCpcmModel(_LocationScaleModel):
     """The Gaussian family: the location-scale fit, with eps = Phi(z) of
     the standardized residuals z in place of their rank PIT."""
 
+    parametric = True
+
+    @classmethod
+    def marginal_noise(cls, y: np.ndarray) -> np.ndarray:
+        return ndtr((y - np.mean(y)) / np.std(y, ddof=1))
+
     def noise(self, y: np.ndarray):
         z, fit_loss = self._standardized(y)
         return np.clip(ndtr(z), EPS_CLIP, 1.0 - EPS_CLIP), z, fit_loss
@@ -202,7 +228,7 @@ class _KernelLocalEvaluator:
 CPCM_BANDWIDTH_SCALE = 0.8
 
 
-class _KernelLocalModel:
+class _KernelLocalModel(_Model):
     """Kernel-weighted local parameter estimates of a parametric family.
 
     A family subclass supplies ``_local_params(w)``, the parameters from the
@@ -212,6 +238,8 @@ class _KernelLocalModel:
     rescaled: only the parametric class carries distributional content, and
     the uniformity question has to see it.
     """
+
+    parametric = True
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x_train = x
@@ -260,6 +288,16 @@ class _KernelLocalModel:
 class _ParetoLocalModel(_KernelLocalModel):
     """Local Pareto tail index on the support y >= 1."""
 
+    @staticmethod
+    def check_support(y: np.ndarray) -> None:
+        if np.min(y) < 1.0:
+            raise DomainViolation(f"Pareto family requires Y >= 1, found min {np.min(y)}")
+
+    @classmethod
+    def marginal_noise(cls, y: np.ndarray) -> np.ndarray:
+        """The transform at the global MLE 1/mean(ln y)."""
+        return cls._transform(y, 1.0 / np.mean(np.log(y)))[0]
+
     def __init__(self, x: np.ndarray, y: np.ndarray):
         super().__init__(x, y)
         self._log_y = np.log(y)
@@ -287,6 +325,16 @@ class _ParetoLocalModel(_KernelLocalModel):
 class _GammaLocalModel(_KernelLocalModel):
     """Local Gamma (shape, scale) on the support y > 0."""
 
+    @staticmethod
+    def check_support(y: np.ndarray) -> None:
+        if np.min(y) <= 0.0:
+            raise DomainViolation(f"Gamma family requires Y > 0, found min {np.min(y)}")
+
+    @classmethod
+    def marginal_noise(cls, y: np.ndarray) -> np.ndarray:
+        mu, var = np.mean(y), np.var(y, ddof=1)
+        return cls._transform(y, (mu * mu / var, var / mu))[0]
+
     def _local_params(self, w: np.ndarray):
         """(shape, scale) by weighted moment matching."""
         sw = self._weight_sums(w)
@@ -313,7 +361,7 @@ class _GammaLocalModel(_KernelLocalModel):
 # --------------------------------------------------------------------- #
 
 
-class _LinearModel:
+class _LinearModel(_Model):
     """OLS fit on the design [1, X] from its thin SVD; noise by rank PIT of
     the residuals, significance by per-slope two-sided t-tests.
 
@@ -322,6 +370,8 @@ class _LinearModel:
     Singular values at or below eps * max(n, d + 1) * s_max count as zero;
     ``xtx_inv_diag`` is diag((X'X)^-1) = sum_j (vt[j, i] / s[j])^2, which
     cannot go negative."""
+
+    smoother = False
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n, d = x.shape
@@ -342,13 +392,9 @@ class _LinearModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.intercept + x @ self.beta
 
-    def noise(self, y: np.ndarray):
-        resid = y - self.fitted
-        return pit_rescale(resid), resid, float(np.mean(resid**2))
-
-    def t_test_p(self, y: np.ndarray) -> np.ndarray:
+    def significance_p(self, data: Dataset, s: CandidateSet, seed: int) -> np.ndarray:
         """Two-sided t-test p-value of each slope."""
-        resid = y - self.fitted
+        resid = data.y - self.fitted
         dof = resid.size - self.beta.size - 1
         sigma2 = float(resid @ resid) / dof
         se = np.sqrt(sigma2 * self.xtx_inv_diag[1:])
@@ -374,22 +420,16 @@ MODELS = {
 
 
 def recover_noise(data: Dataset, s: CandidateSet, f_class: FunctionClass, *, seed: int = 0) -> NoiseRecovery:
-    """Fit the class's model to the target on the covariates in ``s`` and
-    recover the noise, with one significance p-value per member: the slopes'
-    t-tests for the linear class, held-out permutation significance
-    (``stattests.perm_significance``, refitting the same model class) for
-    every other class.  Raises ``BadParam`` past the smoother dimension cap
-    and ``DomainViolation`` for a target outside the family's support."""
-    linear = f_class.kind == "linear"
-    if not linear and len(s) > SMOOTHER_DIM_CAP:
+    """Fit the class's model (``MODELS[f_class.key]``) to the target on the
+    covariates in ``s`` and recover the noise, with the model's
+    ``significance_p``, one p-value per member.  Raises ``BadParam`` past
+    the smoother dimension cap and ``DomainViolation`` for a target outside
+    the family's support, both before any fit."""
+    model_cls = MODELS[f_class.key]
+    if model_cls.smoother and len(s) > SMOOTHER_DIM_CAP:
         raise BadParam(f"|s|={len(s)} exceeds the smoother dimension cap of {SMOOTHER_DIM_CAP}")
     y = data.y
-    f_class.check_support(y)
-    model_cls = MODELS[(f_class.kind, f_class.family)]
+    model_cls.check_support(y)
     model = model_cls(data.covariates(s), y)
     eps, residuals, fit_loss = model.noise(y)
-    if linear:
-        sig = model.t_test_p(y)
-    else:
-        sig = stattests.perm_significance(data, s, model_cls, seed=seed)
-    return NoiseRecovery(eps, residuals, sig, fit_loss, f_class, s, model)
+    return NoiseRecovery(eps, residuals, model.significance_p(data, s, seed), fit_loss, f_class, s, model)

@@ -66,22 +66,41 @@ def _rejects(x, e) -> bool:
 # matches, and the KS-optimal shift drifts away from 2 med(X).
 
 _SPREAD_QS = np.arange(0.55, 0.9951, 0.005)
+_SPREAD_PAIRS = np.concatenate([_SPREAD_QS, 1.0 - _SPREAD_QS])  # Q(q), then Q(1-q), from one np.quantile call
+
+
+def _fingerprint_distance(x_sorted: np.ndarray):
+    """``affine_equality_distance(x_sorted, a, b)`` as a function of (a, b),
+    with X's own quantile spreads and median computed once."""
+    spread_x = np.quantile(x_sorted, _SPREAD_QS) - np.quantile(x_sorted, 1.0 - _SPREAD_QS)
+    median_x = float(np.median(x_sorted))
+    k = _SPREAD_QS.size
+
+    def distance(a: float, b: float) -> float:
+        transformed = a + b * x_sorted
+        if b < 0:
+            transformed = transformed[::-1]
+        elif b == 0:
+            transformed = np.full_like(x_sorted, a)
+        q_t = np.quantile(transformed, _SPREAD_PAIRS)
+        return max(float(np.max(np.abs(q_t[:k] - q_t[k:] - spread_x))), abs(float(np.median(transformed)) - median_x))
+
+    return distance
 
 
 def affine_equality_distance(x_sorted: np.ndarray, a: float, b: float) -> float:
     """Distributional-equality fingerprint distance between a + bX and X."""
-    transformed = a + b * x_sorted
-    if b < 0:
-        transformed = transformed[::-1]
-    elif b == 0:
-        transformed = np.full_like(x_sorted, a)
-    q_hi_x = np.quantile(x_sorted, _SPREAD_QS)
-    q_lo_x = np.quantile(x_sorted, 1.0 - _SPREAD_QS)
-    q_hi_t = np.quantile(transformed, _SPREAD_QS)
-    q_lo_t = np.quantile(transformed, 1.0 - _SPREAD_QS)
-    spread_gap = float(np.max(np.abs((q_hi_t - q_lo_t) - (q_hi_x - q_lo_x))))
-    median_gap = abs(float(np.median(transformed)) - float(np.median(x_sorted)))
-    return max(spread_gap, median_gap)
+    return _fingerprint_distance(x_sorted)(a, b)
+
+
+def _local_minima(surface: np.ndarray) -> np.ndarray:
+    """Mask of the 4-neighbourhood local minima: no neighbour below, one above.
+    A missing neighbour is +inf for the first test, -inf for the second."""
+    above, below = np.pad(surface, 1, constant_values=np.inf), np.pad(surface, 1, constant_values=-np.inf)
+    inner, before, after = slice(1, -1), slice(0, -2), slice(2, None)
+    shifts = [(before, inner), (after, inner), (inner, before), (inner, after)]
+    is_min = np.logical_and.reduce([surface <= above[sh] for sh in shifts])
+    return is_min & np.logical_or.reduce([surface < below[sh] for sh in shifts])
 
 
 def check_dist_equality(
@@ -110,28 +129,10 @@ def check_dist_equality(
 
     a_vals = np.arange(grid_a[0], grid_a[1] + grid_a[2] / 2, grid_a[2])
     b_vals = np.arange(grid_b[0], grid_b[1] + grid_b[2] / 2, grid_b[2])
-    surface = np.empty((a_vals.size, b_vals.size))
-    for j, b in enumerate(b_vals):
-        for i, a in enumerate(a_vals):
-            surface[i, j] = affine_equality_distance(xs, a, b)
+    distance = _fingerprint_distance(xs)
+    surface = np.array([[distance(a, b) for b in b_vals] for a in a_vals])
 
-    # interior 4-neighbourhood local minima
-    minima = []
-    for i in range(a_vals.size):
-        for j in range(b_vals.size):
-            val = surface[i, j]
-            neighbours = []
-            if i > 0:
-                neighbours.append(surface[i - 1, j])
-            if i < a_vals.size - 1:
-                neighbours.append(surface[i + 1, j])
-            if j > 0:
-                neighbours.append(surface[i, j - 1])
-            if j < b_vals.size - 1:
-                neighbours.append(surface[i, j + 1])
-            if all(val <= nb for nb in neighbours) and any(val < nb for nb in neighbours):
-                minima.append((float(val), float(a_vals[i]), float(b_vals[j])))
-    minima.sort()
+    minima = sorted((float(surface[i, j]), float(a_vals[i]), float(b_vals[j])) for i, j in np.argwhere(_local_minima(surface)))
 
     targets = [(0.0, 1.0), (2.0 * med, -1.0)]
 

@@ -188,12 +188,14 @@ class TestEmptyParent:
             empty_parent_test(data, "pareto")
 
     def test_constant_target(self):
-        # y = 1 is inside every support, but no family fits a constant
+        # y = 1 and y = 5 are inside every support, but no family fits a constant
         rng = seeding.substream(3, 779)
-        data = table(np.ones(100), rng.standard_normal(100))
-        for family in ("gaussian", "pareto", "gamma"):
-            with pytest.raises(DomainViolation, match="constant target"):
-                empty_parent_test(data, family)
+        x = rng.standard_normal(100)
+        for value in (1.0, 5.0):
+            data = table(np.full(100, value), x)
+            for family in ("gaussian", "pareto", "gamma"):
+                with pytest.raises(DomainViolation, match="constant target"):
+                    empty_parent_test(data, family)
 
 
 class TestSerialization:

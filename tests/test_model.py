@@ -22,6 +22,7 @@ from cause_sieve.model import (
     validate_dataset,
     write_csv,
 )
+from cause_sieve.regress import MODELS
 
 from conftest import table
 
@@ -131,14 +132,22 @@ class TestDomainTypes:
 
     def test_function_class(self):
         assert FunctionClass.parse("cpcm:gamma") == FunctionClass("cpcm", "gamma")
-        assert FunctionClass.parse("location-scale").skip_distribution
-        assert not FunctionClass("cpcm", "pareto").skip_distribution
+        assert FunctionClass.parse(" CPCM:Pareto ") == FunctionClass("cpcm", "pareto")
+        # the uniformity question is asked exactly for the parametric class,
+        # and the smoother cap binds every class but the linear one
+        assert {key for key, cls in MODELS.items() if cls.parametric} == {
+            ("cpcm", "gaussian"),
+            ("cpcm", "gamma"),
+            ("cpcm", "pareto"),
+        }
+        assert {key for key, cls in MODELS.items() if not cls.smoother} == {("linear", None)}
         with pytest.raises(BadParam):
             FunctionClass("additive", family="gaussian")
         with pytest.raises(BadParam):
             FunctionClass("cpcm")
-        with pytest.raises(BadParam):
-            FunctionClass.parse("cpcm")
+        for text in ("cpcm", "cpcm:", "linear:", "linear:gaussian", "cpcm:weibull", "quadratic"):
+            with pytest.raises(BadParam):
+                FunctionClass.parse(text)
 
     def test_discovery_config_invariants(self):
         with pytest.raises(BadParam):

@@ -6,6 +6,7 @@ import pytest
 from cause_sieve import seeding
 from cause_sieve.errors import BadParam
 from cause_sieve.verify import (
+    _local_minima,
     affine_equality_distance,
     check_cool_lemma,
     check_gamma_support_exception,
@@ -34,6 +35,20 @@ class TestEqualityDistance:
 
     def test_shift_detected(self, exp_sample):
         assert affine_equality_distance(exp_sample, 0.5, 1.0) > 0.1
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (2, 2), (9, 13)])
+    def test_local_minima_match_loop_reference(self, shape):
+        # small integer levels force ties, where <= and < differ
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(20):
+            surface = rng.integers(0, 3, shape).astype(float)
+            expected = np.zeros(shape, dtype=bool)
+            for i in range(shape[0]):
+                for j in range(shape[1]):
+                    nbs = [surface[i + di, j + dj] for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                           if 0 <= i + di < shape[0] and 0 <= j + dj < shape[1]]
+                    expected[i, j] = all(surface[i, j] <= v for v in nbs) and any(surface[i, j] < v for v in nbs)
+            np.testing.assert_array_equal(_local_minima(surface), expected)
 
     def test_grid_step_precondition(self):
         from cause_sieve.verify import check_dist_equality
