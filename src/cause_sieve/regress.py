@@ -7,6 +7,9 @@ the (0,1) scale with its residuals and fit loss; ``significance_p(data, s,
 seed)`` gives one p-value per member of ``s``: held-out permutation
 significance (``stattests.perm_significance`` refits the class, which
 supplies ``permutation_evaluator(x, y)``), or the linear slopes' t-tests.
+Each evaluator factorises over the covariate columns: ``_ThinPlateEvaluator``
+for the splines (one for both location-scale splines, which share their
+centres), ``_KernelLocalEvaluator`` for the kernel-local families.
 ``smoother`` says whether ``SMOOTHER_DIM_CAP`` bounds ``|s|`` (all but
 linear); ``check_support(y)`` raises ``DomainViolation`` outside the
 family's support (Pareto y >= 1, Gamma y > 0); ``parametric`` marks the
@@ -67,20 +70,57 @@ class _Model:
 # --------------------------------------------------------------------- #
 
 
-class _PermutedLoss:
-    """Evaluator for a model with ``loss(x, y)``: each permuted loss
-    re-evaluates the model on a copy of ``x`` with one column permuted."""
+class _ThinPlateEvaluator:
+    """Permutation losses of a model built on degree-1 thin-plate splines
+    that share their centres and their covariate scaling, one spline per
+    column of the values that ``model.prediction_loss(values, y)`` scores.
 
-    def __init__(self, model, x: np.ndarray, y: np.ndarray):
+    Permuting column ``pos`` of the held-out rows changes only that
+    column's term of the squared distance to the centres: with D the
+    (d, m, P) per-column squared differences, r^2 = rest_pos + D[pos][perm],
+    where rest_pos sums the other columns (so it is never negative) and is
+    kept for one position at a time.  The kernel r^2 log r is 1/2 r^2 log r^2
+    (zero at r = 0), one ``log`` pass for every spline; in the polynomial
+    block [1, xhat] only column ``pos`` changes.  The splines are read from
+    scipy's ``y``, ``_shift``, ``_scale`` and ``_coeffs``.
+    """
+
+    def __init__(self, model, smoothers: tuple, x: np.ndarray, y: np.ndarray):
+        spline = smoothers[0]._spline
+        xn = x / smoothers[0]._x_scale
+        centres = spline.y
+        coeffs = np.column_stack([s._spline._coeffs[:, 0] for s in smoothers])
+        n_centres = centres.shape[0]
         self._model = model
-        self._x = x
         self._y = y
-        self.baseline = model.loss(x, y)
+        self._kernel_coeffs, self._poly_coeffs = coeffs[:n_centres], coeffs[n_centres:]
+        self._y_scale = np.array([s._y_scale for s in smoothers])
+        self._y_mean = np.array([s._y_mean for s in smoothers])
+        self._diff2 = np.square(xn.T[:, :, None] - centres.T[:, None, :])
+        self._xhat = (xn - spline._shift) / spline._scale
+        self._pos, self._rest = None, None
+        self.baseline = model.prediction_loss(self._values(self._diff2.sum(axis=0), self._xhat), y)
+
+    def _values(self, r2: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+        """(m, k) predictions from the squared distances r2 (zero r2 is
+        raised to the smallest normal float, so its kernel is 0, not 0 * log 0).
+        The 1/2 scales the product, which is exact for a power of two."""
+        kernel = np.maximum(r2, _TINY)
+        np.log(kernel, out=kernel)
+        kernel *= r2
+        f = 0.5 * (kernel @ self._kernel_coeffs) + (self._poly_coeffs[0] + xhat @ self._poly_coeffs[1:])
+        return f * self._y_scale + self._y_mean
 
     def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
-        x = self._x.copy()
-        x[:, pos] = x[perm, pos]
-        return self._model.loss(x, self._y)
+        if pos != self._pos:
+            self._rest = None  # one position's sum alive at a time
+            self._rest = sum(self._diff2[j] for j in range(self._diff2.shape[0]) if j != pos)
+            self._pos = pos
+        r2 = self._diff2[pos][perm]
+        r2 += self._rest
+        xhat = self._xhat.copy()
+        xhat[:, pos] = self._xhat[perm, pos]
+        return self._model.prediction_loss(self._values(r2, xhat), self._y)
 
 
 class _MeanSmoother(_Model):
@@ -121,12 +161,13 @@ class _MeanSmoother(_Model):
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self._spline(x / self._x_scale) * self._y_scale + self._y_mean
 
-    def loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Mean squared prediction error."""
-        return float(np.mean((y - self.predict(x)) ** 2))
+    @staticmethod
+    def prediction_loss(values: np.ndarray, y: np.ndarray) -> float:
+        """Mean squared error of the predictions ``values[:, 0]``."""
+        return float(np.mean((y - values[:, 0]) ** 2))
 
-    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _PermutedLoss:
-        return _PermutedLoss(self, x, y)
+    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _ThinPlateEvaluator:
+        return _ThinPlateEvaluator(self, (self,), x, y)
 
 
 # E[log eps^2] for standard normal eps: psi(1/2) + log 2.  The smoother of
@@ -167,15 +208,16 @@ class _LocationScaleModel(_Model):
         z, fit_loss = self._standardized(y)
         return pit_rescale(z), z, fit_loss
 
-    def loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Gaussian deviance; permuting a column moves the mean and the scale."""
-        mu = self.mu(x)
-        sigma = self.sigma(x)  # log-chi2 corrected
-        z = (y - mu) / sigma
+    def prediction_loss(self, values: np.ndarray, y: np.ndarray) -> float:
+        """Gaussian deviance of the predicted mean ``values[:, 0]`` and log
+        variance ``values[:, 1]``; permuting a column moves both."""
+        sigma = self._sigma_from_logvar(values[:, 1])  # log-chi2 corrected
+        z = (y - values[:, 0]) / sigma
         return float(np.mean(np.log(sigma) + 0.5 * z * z))
 
-    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _PermutedLoss:
-        return _PermutedLoss(self, x, y)
+    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _ThinPlateEvaluator:
+        """One evaluator for both splines, which share their centres and scaling."""
+        return _ThinPlateEvaluator(self, (self.mu_model, self.logvar_model), x, y)
 
 
 class _GaussianCpcmModel(_LocationScaleModel):

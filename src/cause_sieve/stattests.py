@@ -364,8 +364,12 @@ def perm_significance(
     ``permutation_evaluator(x, y)`` on the held-out rows supplies the
     losses: a ``baseline`` and ``loss_with_permuted(pos, perm)``, the loss
     with column ``pos`` reordered by ``perm`` (the identity reproduces the
-    baseline).  Every model that is refitted here supplies its own
-    evaluator; there is no fallback.
+    baseline within rounding).  Every model that is refitted here supplies
+    its own evaluator, and every one factorises by column: permuting column
+    ``pos`` replaces that column's term of precomputed per-column pieces (a
+    thin-plate distance, a log-kernel), so no model is re-evaluated from
+    scratch.  The positions are the outer loop, so an evaluator keeps the
+    other columns' sum for one position at a time.
 
     The model is fitted on a held-out split: half the rows train the model,
     the other half supply the losses.  Comparing the held-out baseline with

@@ -13,6 +13,7 @@ from cause_sieve.regress import (
     MODELS,
     _KernelLocalEvaluator,
     _KernelLocalModel,
+    _LocationScaleModel,
     _ParetoLocalModel,
     recover_noise,
 )
@@ -311,25 +312,79 @@ def test_one_model_per_function_class():
     assert MODELS.keys() == CLASS_CODES.keys()
 
 
-# every non-linear model is a held-out refit of the significance test: the
-# splines' evaluators re-evaluate the model, the kernel-local ones factorise
+# every non-linear model is a held-out refit of the significance test, and
+# every evaluator factorises by column: the splines' over their thin-plate
+# distances, the kernel-local ones over their log-kernels
 _KERNEL_LOCAL = {key: cls for key, cls in MODELS.items() if issubclass(cls, _KernelLocalModel)}
 _SPLINES = [cls for key, cls in MODELS.items() if key != ("linear", None) and key not in _KERNEL_LOCAL]
 
 
+def _spline_loss(model, x, y):
+    """The held-out loss recomputed through scipy's ``RBFInterpolator.__call__``."""
+    if isinstance(model, _LocationScaleModel):
+        sigma = model.sigma(x)
+        z = (y - model.mu(x)) / sigma
+        return float(np.mean(np.log(sigma) + 0.5 * z * z))
+    return float(np.mean((y - model.predict(x)) ** 2))
+
+
+def _permuted(x, pos, perm):
+    out = x.copy()
+    out[:, pos] = x[perm, pos]
+    return out
+
+
 class TestPermutationEvaluator:
-    """The identity permutation reproduces each evaluator's held-out baseline."""
+    """Each evaluator reproduces its model's held-out losses within rounding."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("model_cls", _SPLINES, ids=lambda cls: cls.__name__)
+    def test_thin_plate_matches_scipy(self, model_cls, d):
+        # the evaluator reads scipy's private spline attributes: a change to
+        # them, or to the kernel or polynomial degree, has to fail here
+        rng = seeding.substream(d, 910)
+        x = rng.standard_normal((200, d))
+        y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, -1] ** 2) * rng.standard_normal(200)
+        model = model_cls(x[:100], y[:100])
+        smoothers = (model.mu_model, model.logvar_model) if isinstance(model, _LocationScaleModel) else (model,)
+        for smoother in smoothers:
+            spline = smoother._spline
+            assert spline.kernel == "thin_plate_spline"
+            np.testing.assert_array_equal(spline.powers, np.vstack([np.zeros((1, d)), np.eye(d)]))
+            for shared in ("y", "_shift", "_scale"):
+                np.testing.assert_array_equal(getattr(spline, shared), getattr(smoothers[0]._spline, shared))
+        xt, yt = x[100:], y[100:]
+        ev = model.permutation_evaluator(xt, yt)
+        assert ev.baseline == pytest.approx(_spline_loss(model, xt, yt), rel=1e-12, abs=0.0)
+        for _ in range(3):
+            for pos in range(d):
+                perm = rng.permutation(100)
+                want = _spline_loss(model, _permuted(xt, pos, perm), yt)
+                assert ev.loss_with_permuted(pos, perm) == pytest.approx(want, rel=1e-12, abs=0.0)
+        for pos in range(d):
+            assert ev.loss_with_permuted(pos, np.arange(100)) == pytest.approx(ev.baseline, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model_cls", _SPLINES, ids=lambda cls: cls.__name__)
-    def test_generic_evaluator_identity_is_exact(self, model_cls):
-        rng = seeding.substream(0, 910)
+    def test_thin_plate_at_training_rows(self, model_cls):
+        # held-out rows 0-29 duplicate training rows (r^2 = 0 at their centre);
+        # rows 30-59 equal training rows in column 1 alone, so permuting
+        # column 0 leaves them the rest r^2 = 0 as well.  A log(0) would
+        # raise, since pytest turns a RuntimeWarning into a failure.
+        rng = seeding.substream(2, 910)
         x = rng.standard_normal((200, 2))
         y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, 1] ** 2) * rng.standard_normal(200)
         model = model_cls(x[:100], y[:100])
-        ev = model.permutation_evaluator(x[100:], y[100:])
-        assert ev.baseline == model.loss(x[100:], y[100:])
-        for pos in range(2):
-            assert ev.loss_with_permuted(pos, np.arange(100)) == ev.baseline
+        xt, yt = x[100:].copy(), y[100:]
+        xt[:30] = x[:30]
+        xt[30:60, 1] = x[30:60, 1]
+        half_fixed = np.concatenate([np.arange(50), 50 + rng.permutation(50)])
+        ev = model.permutation_evaluator(xt, yt)
+        assert np.isfinite(ev.baseline)
+        assert ev.baseline == pytest.approx(_spline_loss(model, xt, yt), rel=1e-12, abs=0.0)
+        for perm in (np.arange(100), half_fixed, rng.permutation(100)):
+            got = ev.loss_with_permuted(0, perm)
+            assert np.isfinite(got)
+            assert got == pytest.approx(_spline_loss(model, _permuted(xt, 0, perm), yt), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("family", [family for _, family in _KERNEL_LOCAL])
     def test_factorised_cpcm_identity_within_rounding(self, family):
