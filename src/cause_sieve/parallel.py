@@ -2,9 +2,9 @@
 
 Each unit seeds its own substreams (see :mod:`seeding`), so the results do
 not depend on how many threads run them or in which order they finish.
-Threads, not processes: the thin-plate-spline kernel and the large numpy
-ufuncs release the interpreter lock, and threads share the table instead of
-pickling it.
+Threads, not processes: most thin-plate-spline work (numpy ufuncs, BLAS
+products and LAPACK solves) and the other large numpy ufuncs release the
+interpreter lock, and threads share the table instead of pickling it.
 """
 
 from __future__ import annotations

@@ -22,16 +22,19 @@ penalized thin-plate-spline smoothing (penalty chosen by two-fold
 cross-validation); those classes restrict the noise to be additive, not the
 mean to be additive across covariates, so the smoother must represent
 interactions, and it must track the surface closely enough that the
-independence test sees only noise.  The parametric class uses the
-location-scale fit for the Gaussian family and kernel-local maximum
-likelihood or moment matching with Silverman bandwidths for the Pareto and
-Gamma families.
+independence test sees only noise.  The fit, the CV and the permutation
+losses share one kernel, ``_thin_plate``, and one coefficient layout; each
+fit solves the saddle system [[K + lambda I, P], [P', 0]] (Wahba 1990).
+The parametric class uses the location-scale fit for the Gaussian family
+and kernel-local maximum likelihood or moment matching with Silverman
+bandwidths for the Pareto and Gamma families.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import RBFInterpolator
+from scipy.linalg.lapack import dgesv
+from scipy.spatial.distance import cdist
 from scipy.special import gammaln, ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import t as student_t
@@ -70,46 +73,61 @@ class _Model:
 # --------------------------------------------------------------------- #
 
 
+def _thin_plate(r2: np.ndarray) -> np.ndarray:
+    """The thin-plate kernel 1/2 r^2 log r^2 of the squared distances r2, 0 at
+    r = 0 (r2 is raised to the smallest normal float for the log)."""
+    kernel = np.maximum(r2, _TINY)
+    np.log(kernel, out=kernel)
+    kernel *= r2
+    kernel *= 0.5
+    return kernel
+
+
+def _spline_values(kernel: np.ndarray, xn: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Spline values at rows ``xn`` with (m, P) ``kernel`` to the P centres."""
+    n_centres = kernel.shape[1]
+    return kernel @ coeffs[:n_centres] + (coeffs[n_centres] + xn @ coeffs[n_centres + 1 :])
+
+
+def _solve_spline(kernel: np.ndarray, xn: np.ndarray, yn: np.ndarray, penalty: float) -> np.ndarray:
+    """[a; b] solving [[K + penalty I, P], [P', 0]] [a; b] = [yn; 0], P = [1, xn], in place
+    by LU; ``RankDeficient`` for fewer rows than columns of P or collinear covariates."""
+    n, d = xn.shape
+    if n < d + 1:
+        raise RankDeficient(f"{n} rows cannot fit the spline's {d + 1} polynomial terms")
+    lhs = np.zeros((n + d + 1, n + d + 1), order="F")
+    lhs[:n, :n] = kernel
+    lhs[np.diag_indices(n)] += penalty
+    lhs[:n, n], lhs[:n, n + 1 :] = 1.0, xn
+    lhs[n:, :n] = lhs[:n, n:].T
+    coeffs, info = dgesv(lhs, np.concatenate([yn, np.zeros(d + 1)]), overwrite_a=True, overwrite_b=True)[2:]
+    if info > 0:
+        raise RankDeficient("spline system is singular (collinear covariates)")
+    return coeffs
+
+
 class _ThinPlateEvaluator:
-    """Permutation losses of a model built on degree-1 thin-plate splines
-    that share their centres and their covariate scaling, one spline per
-    column of the values that ``model.prediction_loss(values, y)`` scores.
+    """Permutation losses of a model built on thin-plate splines that share
+    their centres and their covariate scaling, one spline per column of the
+    values that ``model.prediction_loss(values, y)`` scores.
 
     Permuting column ``pos`` of the held-out rows changes only that
     column's term of the squared distance to the centres: with D the
     (d, m, P) per-column squared differences, r^2 = rest_pos + D[pos][perm],
     where rest_pos sums the other columns (so it is never negative) and is
-    kept for one position at a time.  The kernel r^2 log r is 1/2 r^2 log r^2
-    (zero at r = 0), one ``log`` pass for every spline; in the polynomial
-    block [1, xhat] only column ``pos`` changes.  The splines are read from
-    scipy's ``y``, ``_shift``, ``_scale`` and ``_coeffs``.
+    kept for one position at a time.  One ``_thin_plate`` pass serves every
+    spline; in the polynomial block [1, xn] only column ``pos`` changes.
     """
 
     def __init__(self, model, smoothers: tuple, x: np.ndarray, y: np.ndarray):
-        spline = smoothers[0]._spline
-        xn = x / smoothers[0]._x_scale
-        centres = spline.y
-        coeffs = np.column_stack([s._spline._coeffs[:, 0] for s in smoothers])
-        n_centres = centres.shape[0]
         self._model = model
         self._y = y
-        self._kernel_coeffs, self._poly_coeffs = coeffs[:n_centres], coeffs[n_centres:]
-        self._y_scale = np.array([s._y_scale for s in smoothers])
-        self._y_mean = np.array([s._y_mean for s in smoothers])
-        self._diff2 = np.square(xn.T[:, :, None] - centres.T[:, None, :])
-        self._xhat = (xn - spline._shift) / spline._scale
+        self._coeffs = np.column_stack([s.coeffs for s in smoothers])
+        self._xn = x / smoothers[0].x_scale
+        self._diff2 = np.square(self._xn.T[:, :, None] - smoothers[0].centres.T[:, None, :])
         self._pos, self._rest = None, None
-        self.baseline = model.prediction_loss(self._values(self._diff2.sum(axis=0), self._xhat), y)
-
-    def _values(self, r2: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-        """(m, k) predictions from the squared distances r2 (zero r2 is
-        raised to the smallest normal float, so its kernel is 0, not 0 * log 0).
-        The 1/2 scales the product, which is exact for a power of two."""
-        kernel = np.maximum(r2, _TINY)
-        np.log(kernel, out=kernel)
-        kernel *= r2
-        f = 0.5 * (kernel @ self._kernel_coeffs) + (self._poly_coeffs[0] + xhat @ self._poly_coeffs[1:])
-        return f * self._y_scale + self._y_mean
+        kernel = _thin_plate(self._diff2.sum(axis=0))
+        self.baseline = model.prediction_loss(_spline_values(kernel, self._xn, self._coeffs), y)
 
     def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
         if pos != self._pos:
@@ -118,48 +136,43 @@ class _ThinPlateEvaluator:
             self._pos = pos
         r2 = self._diff2[pos][perm]
         r2 += self._rest
-        xhat = self._xhat.copy()
-        xhat[:, pos] = self._xhat[perm, pos]
-        return self._model.prediction_loss(self._values(r2, xhat), self._y)
+        xn = self._xn.copy()
+        xn[:, pos] = self._xn[perm, pos]
+        return self._model.prediction_loss(_spline_values(_thin_plate(r2), xn, self._coeffs), self._y)
 
 
 class _MeanSmoother(_Model):
-    """Thin-plate-spline estimate of E[y|x] with CV-chosen penalty.
+    """Penalized thin-plate-spline estimate of E[y|x] with CV-chosen penalty.
 
     Covariates are rescaled to unit variance and the response is
-    standardized, so one penalty grid serves every dataset.  The two CV
-    folds are the even and odd rows: deterministic, and fold membership
-    is independent of the data values.  Collinear covariates make the
-    spline's polynomial block singular; that surfaces as ``RankDeficient``.
+    standardized, so one penalty grid serves every dataset.  The centres are
+    the rescaled rows; ``coeffs`` holds their weights a, then those of
+    [1, x / x_scale], on the scale of y.  The CV folds, the even and odd rows,
+    take their kernels as blocks of the one over all rows.  The fitted values
+    are y - penalty * a, the first block row of the system.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        self._x_scale = np.std(x, axis=0)
-        self._x_scale[self._x_scale == 0] = 1.0
-        self._y_mean = float(np.mean(y))
-        self._y_scale = max(float(np.std(y)), _TINY)
-        xn = x / self._x_scale
-        yn = (y - self._y_mean) / self._y_scale
+        self.x_scale = np.std(x, axis=0)
+        self.x_scale[self.x_scale == 0] = 1.0
+        y_mean, y_scale = float(np.mean(y)), max(float(np.std(y)), _TINY)
+        self.centres = xn = x / self.x_scale
+        yn = (y - y_mean) / y_scale
+        kernel = _thin_plate(cdist(xn, xn, "sqeuclidean"))
 
-        try:
-            even = np.arange(y.size) % 2 == 0
-            best, best_err = PENALTY_GRID[0], np.inf
-            if y.size >= 8:
-                for lam in PENALTY_GRID:
-                    err = 0.0
-                    for tr in (even, ~even):
-                        f = RBFInterpolator(xn[tr], yn[tr], kernel="thin_plate_spline", smoothing=lam)
-                        err += float(np.mean((yn[~tr] - f(xn[~tr])) ** 2))
-                    if err < best_err:
-                        best, best_err = lam, err
-            self.penalty = float(best)
-            self._spline = RBFInterpolator(xn, yn, kernel="thin_plate_spline", smoothing=self.penalty)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"spline system is singular (collinear covariates): {exc}") from exc
-        self.fitted = self.predict(x)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._spline(x / self._x_scale) * self._y_scale + self._y_mean
+        best, best_err = PENALTY_GRID[0], np.inf
+        if y.size >= 8:
+            for lam in PENALTY_GRID:
+                err = 0.0
+                for tr, te in ((0, 1), (1, 0)):  # even rows, then odd rows train
+                    coeffs = _solve_spline(kernel[tr::2, tr::2], xn[tr::2], yn[tr::2], lam)
+                    err += float(np.mean((yn[te::2] - _spline_values(kernel[te::2, tr::2], xn[te::2], coeffs)) ** 2))
+                if err < best_err:
+                    best, best_err = lam, err
+        self.penalty = float(best)
+        self.coeffs = _solve_spline(kernel, xn, yn, self.penalty) * y_scale
+        self.coeffs[y.size] += y_mean
+        self.fitted = y - self.penalty * self.coeffs[: y.size]
 
     @staticmethod
     def prediction_loss(values: np.ndarray, y: np.ndarray) -> float:
@@ -186,14 +199,8 @@ class _LocationScaleModel(_Model):
         z = np.log(resid * resid + self.floor**2)
         self.logvar_model = _MeanSmoother(x, z)
 
-    def mu(self, x: np.ndarray) -> np.ndarray:
-        return self.mu_model.predict(x)
-
     def _sigma_from_logvar(self, logvar: np.ndarray) -> np.ndarray:
         return np.maximum(np.exp(0.5 * (logvar - _LOG_CHI2_MEAN)), self.floor)
-
-    def sigma(self, x: np.ndarray) -> np.ndarray:
-        return self._sigma_from_logvar(self.logvar_model.predict(x))
 
     def sigma_fitted(self) -> np.ndarray:
         return self._sigma_from_logvar(self.logvar_model.fitted)
@@ -429,10 +436,7 @@ class _LinearModel(_Model):
         self.xtx_inv_diag = np.sum(vs * vs, axis=1)
         self.intercept = float(coef[0])
         self.beta = coef[1:]
-        self.fitted = self.predict(x)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.intercept + x @ self.beta
+        self.fitted = self.intercept + x @ self.beta
 
     def significance_p(self, data: Dataset, s: CandidateSet, seed: int) -> np.ndarray:
         """Two-sided t-test p-value of each slope."""

@@ -18,7 +18,7 @@ from scipy.special import ndtr
 from . import seeding
 from .errors import BadDim, BadParam
 from .jsonout import write_json
-from .model import Dataset, validate_dataset, write_csv
+from .model import MIN_ROWS, Dataset, validate_dataset, write_csv
 
 _GRID_POINTS = 41
 _GRID_HALF_WIDTH = 3.0
@@ -143,6 +143,12 @@ def _positive_perlin(fn: _PerlinNoise, y: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(fn(y), -1.5, 1.5))
 
 
+def _generator_rng(seed: int, n: int) -> np.random.Generator:
+    if n < MIN_ROWS:  # every generator's one check of n, before it draws
+        raise BadParam(f"n must be at least {MIN_ROWS}, got {n}")
+    return seeding.substream(seed, seeding.GENERATOR, 0)
+
+
 def gen_additive_grid(seed: int, n: int, c: float, gamma: float) -> GeneratedDataset:
     """Two correlated normal parents, additive signal plus a gamma-weighted
     interaction term, standard normal noise."""
@@ -161,7 +167,7 @@ def gen_additive_grid(seed: int, n: int, c: float, gamma: float) -> GeneratedDat
     g12 = perlin_fn(
         PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 3), dim=2, octaves=2, base_frequency=0.5, amplitude=3.0)
     )
-    rng = seeding.substream(seed, seeding.GENERATOR, 0)
+    rng = _generator_rng(seed, n)
     x = _corr_normal(rng, n, 2, c)
     eta = rng.standard_normal(n)
     y = g1(x[:, 0]) + g2(x[:, 1]) + gamma * g12(x) + eta
@@ -183,7 +189,7 @@ def gen_benchmark1(seed: int, n: int) -> GeneratedDataset:
     four uniform noises share pairwise correlation 0.5 through a Gaussian
     copula.
     """
-    rng = seeding.substream(seed, seeding.GENERATOR, 0)
+    rng = _generator_rng(seed, n)
     etas = ndtr(_corr_normal(rng, n, 4, 0.5))
     x1 = etas[:, 0]
     g_y = perlin_fn(
@@ -211,7 +217,7 @@ def gen_benchmark1(seed: int, n: int) -> GeneratedDataset:
 def gen_benchmark2(seed: int, n: int) -> GeneratedDataset:
     """Three jointly normal causes (pairwise correlation 0.5), one random
     3-D surface, standard normal noise."""
-    rng = seeding.substream(seed, seeding.GENERATOR, 0)
+    rng = _generator_rng(seed, n)
     x = _corr_normal(rng, n, 3, 0.5)
     g_y = perlin_fn(
         PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 1), dim=3, octaves=2, base_frequency=0.3, amplitude=2.5)
@@ -235,7 +241,7 @@ def gen_benchmark3(seed: int, n: int) -> GeneratedDataset:
     P1(Y) + P2(Y) * eta_i with uniform noises.  With no parents the tail
     index is a seed-drawn constant in [0.5, 5].
     """
-    rng = seeding.substream(seed, seeding.GENERATOR, 0)
+    rng = _generator_rng(seed, n)
     parents = tuple(i for i in (1, 2, 3) if rng.random() < 0.5)
     x = np.zeros((n, 3))
     for i in parents:
@@ -288,7 +294,7 @@ def gen_linear_chain(seed: int, n: int, noise: str = "gaussian") -> GeneratedDat
     """
     if noise not in ("gaussian", "uniform"):
         raise BadParam(f"noise must be gaussian or uniform, got {noise!r}")
-    rng = seeding.substream(seed, seeding.GENERATOR, 0)
+    rng = _generator_rng(seed, n)
     if noise == "gaussian":
         etas = rng.standard_normal((n, 3))
     else:

@@ -141,6 +141,8 @@ class TestVerifyCommand:
         ["verify", "--check", "gamma-exception", "--n", "0", "--reps", "0"],
         ["verify", "--check", "cool-lemma:abc"],
         ["bench", "--benchmark", "1", "--jobs", "-1"],
+        ["datagen", "--generator", "benchmark1", "--n", "-5"],
+        ["bench", "--benchmark", "1", "--n", "-3"],
     ],
 )
 def test_malformed_numeric_flag_exits_2(argv, tmp_path, capsys):

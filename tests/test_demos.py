@@ -1,8 +1,4 @@
-"""Each demo runs to completion and prints something.
-
-``demos/04_benchmarks.py`` is left out for its run time; the acceptance
-criteria 01-03 run the same ``bench_replicates`` path.
-"""
+"""Each demo runs to completion and prints something."""
 
 import os
 import subprocess
@@ -12,7 +8,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = ["01_discover_from_csv.py", "02_function_classes.py", "03_random_functions.py", "05_theory_checks.py"]
+DEMOS = [
+    "01_discover_from_csv.py",
+    "02_function_classes.py",
+    "03_random_functions.py",
+    "04_benchmarks.py",
+    "05_theory_checks.py",
+]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -225,9 +225,9 @@ class TestSerialization:
     # the numbers or the schema
     PINNED = {
         ("linear", 1): "63852706a91c58f87677ce3dfdd83bd3f85eb7a88bce202720a72ceb3d97da9c",
-        ("additive", 1): "a649be9b81f1a5695ff687dbaa29d2450c40a3e0b12dc5a6c524aa2b121fc5db",
-        ("location-scale", 1): "e3778b9d7fbd05d45c80d6ea78723119136d6aec593f057844abd2476a9d996c",
-        ("cpcm:gaussian", 1): "09b16dc62283522fc175d2e1dff19b8a7c6d9cf020aa1184180c1711bcfde182",
+        ("additive", 1): "5ec93a1cf0d451c119348bd5a2043a78431a5c7af51e30213b02aeb434edc20d",
+        ("location-scale", 1): "0c31b485a29dc1599cff5abf911d14f11b0412ff438c788f88465226efcbfabc",
+        ("cpcm:gaussian", 1): "7bbbe63d7a74763d0509f8f28b9bbfe486d48fbfa747d0cc119038f5910eb1cb",
         ("cpcm:gamma", 3): "6a50e9a17005fd8e53e82f8e7f724b9df2edd4b1cd200a434e1821722ed8150d",
         ("cpcm:pareto", 3): "bf812e3c555cd662f5ffb960786ed155179d303cf3541d594e94d094ce0dd1d0",
     }
@@ -256,6 +256,18 @@ class TestDegenerateInput:
         with_both = [v for v in res.verdicts if {1, 2} <= set(v.candidate.members)]
         assert len(with_both) == 2
         assert all(v.reason == "RankDeficient" for v in with_both)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("label", ["additive", "location-scale", "cpcm:gaussian"])
+    def test_too_few_rows_for_the_spline_is_rank_deficient(self, label, jobs):
+        # n = 20: the permutation refit trains on 10 rows, and its CV folds
+        # have 5 rows, too few for the 1 + |s| polynomial terms when |s| >= 5
+        rng = seeding.substream(0, 778)
+        x = rng.standard_normal((20, 6))
+        data = table(np.sin(x[:, 0]) + 0.5 * rng.standard_normal(20), *x.T)
+        res = analyze(data, FunctionClass.parse(label), DiscoveryConfig(seed=0), jobs=jobs)
+        reasons = {v.candidate.members: v.reason for v in res.verdicts}
+        assert reasons == {s.members: "RankDeficient" if len(s) >= 5 else None for s in enumerate_candidates(6)}
 
     def test_smoother_cap_rejected_before_any_fit(self, monkeypatch):
         calls = []

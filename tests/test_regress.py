@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import RBFInterpolator
 from scipy.stats import kstest
 
 from cause_sieve import seeding
@@ -11,6 +12,7 @@ from cause_sieve.errors import BadParam, DomainViolation, RankDeficient, StatErr
 from cause_sieve.model import CLASS_CODES, CandidateSet, FunctionClass, enumerate_candidates
 from cause_sieve.regress import (
     MODELS,
+    PENALTY_GRID,
     _KernelLocalEvaluator,
     _KernelLocalModel,
     _LocationScaleModel,
@@ -53,7 +55,7 @@ class TestFitLinear:
         y = x @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(300)
         data = table(y, *(x[:, j] for j in range(3)))
         rec = recover_noise(data, CandidateSet((1, 2, 3)), LINEAR)
-        resid = y - rec.model.predict(x)
+        resid = rec.residuals
         bound = 1e-8 * 300 * np.std(y)
         for j in range(3):
             assert abs(resid @ x[:, j]) <= bound * np.std(x[:, j])
@@ -157,8 +159,23 @@ class TestFitLocationScale:
         x = rng.standard_normal(1000)
         y = rng.standard_normal(1000)
         rec = recover_noise(table(y, x), CandidateSet((1,)), LOCATION_SCALE, seed=0)
-        sigma = rec.model.sigma(x[:, None])
+        sigma = rec.model.sigma_fitted()
         assert np.std(sigma) / np.mean(sigma) <= 0.2
+
+    def test_fit_holds_few_kernel_arrays(self):
+        # each spline holds one (n, n) kernel, its CV folds are blocks of it
+        # and its system is solved in place; a (d, n, n) stack of per-column
+        # distances would read 6 or more (n, n) arrays here
+        rng = seeding.substream(5, 904)
+        x = rng.standard_normal((1000, 4))
+        y = np.sin(x[:, 0]) + rng.standard_normal(1000)
+        tracemalloc.start()
+        try:
+            _LocationScaleModel(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1000 * 1000 * 8
 
     def test_degenerate_residuals_clamped(self):
         # an exactly representable target drives residuals to zero; the
@@ -272,9 +289,9 @@ class TestFitCpcm:
 # fit layer itself; a digest may move only with a deliberate numeric change
 FIT_PINNED = {
     "linear": "c7639541290a1d4fc2dce0cf5f368d9c911384209835260ee15a856ca6afdb48",
-    "additive": "93c1c1639098ff6941dc66c0dd92f2c685544caf209a778a2119511bcb981f97",
-    "location-scale": "ef31b866ca4ce85f0052e29d3c50ff060ff796dc061a6ffe358723183d93d5df",
-    "cpcm:gaussian": "43813e6554bf18080485a3876e04e549ab26acd02924c40fdfb9ead42f40741d",
+    "additive": "e325efc619e8fdffecf964eb6a73135951f13ad9af632defca50faf1d340c1fa",
+    "location-scale": "e17ffc9a13a3cddad394aa8f370bda194d3f0f144ad4f2a5cd507d3a2009df8e",
+    "cpcm:gaussian": "0db027d937caaf27bda6456864afbd12326dc9ebe746cf2aeb3596c34fdd1055",
     "cpcm:gamma": "fa32c62a9c2c7931842222a0486e55a137dc7e33ac53238102b7d2413ce508e1",
     "cpcm:pareto": "e63af3a8d563dfe4ef29e36b6a0c7746df42fbb716285f1a1c89e00cb5decfdb",
 }
@@ -319,13 +336,46 @@ _KERNEL_LOCAL = {key: cls for key, cls in MODELS.items() if issubclass(cls, _Ker
 _SPLINES = [cls for key, cls in MODELS.items() if key != ("linear", None) and key not in _KERNEL_LOCAL]
 
 
-def _spline_loss(model, x, y):
-    """The held-out loss recomputed through scipy's ``RBFInterpolator.__call__``."""
-    if isinstance(model, _LocationScaleModel):
-        sigma = model.sigma(x)
-        z = (y - model.mu(x)) / sigma
-        return float(np.mean(np.log(sigma) + 0.5 * z * z))
-    return float(np.mean((y - model.predict(x)) ** 2))
+class _ReferenceSpline:
+    """scipy's penalized thin-plate spline of y on x, through its public API:
+    x rescaled to unit variance and y standardized, with the grid penalty
+    that two-fold CV over the even and odd rows picks."""
+
+    def __init__(self, x, y):
+        self.x_scale, self.y_mean, self.y_scale = np.std(x, axis=0), np.mean(y), np.std(y)
+        xn, yn = x / self.x_scale, (y - self.y_mean) / self.y_scale
+        folds = ((slice(0, None, 2), slice(1, None, 2)), (slice(1, None, 2), slice(0, None, 2)))
+
+        def cv_error(lam):
+            return sum(float(np.mean((yn[te] - _tps(xn[tr], yn[tr], lam)(xn[te])) ** 2)) for tr, te in folds)
+
+        self.penalty = min(PENALTY_GRID, key=cv_error)
+        self._spline = _tps(xn, yn, self.penalty)
+
+    def __call__(self, x):
+        return self._spline(x / self.x_scale) * self.y_scale + self.y_mean
+
+
+def _tps(xn, yn, penalty):
+    return RBFInterpolator(xn, yn, kernel="thin_plate_spline", smoothing=penalty)
+
+
+def _smoothers(model):
+    return (model.mu_model, model.logvar_model) if isinstance(model, _LocationScaleModel) else (model,)
+
+
+def _references(model, x, y):
+    """One reference spline per smoother of the model, built from (x, y) alone."""
+    mu = _ReferenceSpline(x, y)
+    if not isinstance(model, _LocationScaleModel):
+        return (mu,)
+    resid = y - mu(x)
+    return mu, _ReferenceSpline(x, np.log(resid * resid + model.floor**2))
+
+
+def _spline_loss(model, refs, x, y):
+    """The model's held-out loss with the reference splines' values."""
+    return model.prediction_loss(np.column_stack([ref(x) for ref in refs]), y)
 
 
 def _permuted(x, pos, perm):
@@ -340,27 +390,24 @@ class TestPermutationEvaluator:
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("model_cls", _SPLINES, ids=lambda cls: cls.__name__)
     def test_thin_plate_matches_scipy(self, model_cls, d):
-        # the evaluator reads scipy's private spline attributes: a change to
-        # them, or to the kernel or polynomial degree, has to fail here
+        # the spline, its CV penalty, its fitted values and the evaluator's
+        # losses agree with scipy's public RBFInterpolator
         rng = seeding.substream(d, 910)
         x = rng.standard_normal((200, d))
         y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, -1] ** 2) * rng.standard_normal(200)
         model = model_cls(x[:100], y[:100])
-        smoothers = (model.mu_model, model.logvar_model) if isinstance(model, _LocationScaleModel) else (model,)
-        for smoother in smoothers:
-            spline = smoother._spline
-            assert spline.kernel == "thin_plate_spline"
-            np.testing.assert_array_equal(spline.powers, np.vstack([np.zeros((1, d)), np.eye(d)]))
-            for shared in ("y", "_shift", "_scale"):
-                np.testing.assert_array_equal(getattr(spline, shared), getattr(smoothers[0]._spline, shared))
+        refs = _references(model, x[:100], y[:100])
+        for smoother, ref in zip(_smoothers(model), refs):
+            assert smoother.penalty == ref.penalty
+            np.testing.assert_allclose(smoother.fitted, ref(x[:100]), rtol=1e-10, atol=0.0)
         xt, yt = x[100:], y[100:]
         ev = model.permutation_evaluator(xt, yt)
-        assert ev.baseline == pytest.approx(_spline_loss(model, xt, yt), rel=1e-12, abs=0.0)
+        assert ev.baseline == pytest.approx(_spline_loss(model, refs, xt, yt), rel=1e-10, abs=0.0)
         for _ in range(3):
             for pos in range(d):
                 perm = rng.permutation(100)
-                want = _spline_loss(model, _permuted(xt, pos, perm), yt)
-                assert ev.loss_with_permuted(pos, perm) == pytest.approx(want, rel=1e-12, abs=0.0)
+                want = _spline_loss(model, refs, _permuted(xt, pos, perm), yt)
+                assert ev.loss_with_permuted(pos, perm) == pytest.approx(want, rel=1e-10, abs=0.0)
         for pos in range(d):
             assert ev.loss_with_permuted(pos, np.arange(100)) == pytest.approx(ev.baseline, rel=1e-12, abs=0.0)
 
@@ -374,17 +421,18 @@ class TestPermutationEvaluator:
         x = rng.standard_normal((200, 2))
         y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, 1] ** 2) * rng.standard_normal(200)
         model = model_cls(x[:100], y[:100])
+        refs = _references(model, x[:100], y[:100])
         xt, yt = x[100:].copy(), y[100:]
         xt[:30] = x[:30]
         xt[30:60, 1] = x[30:60, 1]
         half_fixed = np.concatenate([np.arange(50), 50 + rng.permutation(50)])
         ev = model.permutation_evaluator(xt, yt)
         assert np.isfinite(ev.baseline)
-        assert ev.baseline == pytest.approx(_spline_loss(model, xt, yt), rel=1e-12, abs=0.0)
+        assert ev.baseline == pytest.approx(_spline_loss(model, refs, xt, yt), rel=1e-10, abs=0.0)
         for perm in (np.arange(100), half_fixed, rng.permutation(100)):
             got = ev.loss_with_permuted(0, perm)
             assert np.isfinite(got)
-            assert got == pytest.approx(_spline_loss(model, _permuted(xt, 0, perm), yt), rel=1e-12, abs=0.0)
+            assert got == pytest.approx(_spline_loss(model, refs, _permuted(xt, 0, perm), yt), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("family", [family for _, family in _KERNEL_LOCAL])
     def test_factorised_cpcm_identity_within_rounding(self, family):
