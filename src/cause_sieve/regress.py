@@ -5,29 +5,29 @@
 facts.  Its constructor fits ``(x, y)``; ``noise(y)`` returns the noise on
 the (0,1) scale with its residuals and fit loss; ``significance_p(data, s,
 seed)`` gives one p-value per member of ``s``: held-out permutation
-significance (``stattests.perm_significance`` refits the class, which
-supplies ``permutation_evaluator(x, y)``), or the linear slopes' t-tests.
-Each evaluator factorises over the covariate columns: ``_ThinPlateEvaluator``
-for the splines (one for both location-scale splines, which share their
-centres), ``_KernelLocalEvaluator`` for the kernel-local families.
-``smoother`` says whether ``SMOOTHER_DIM_CAP`` bounds ``|s|`` (all but
-linear); ``check_support(y)`` raises ``DomainViolation`` outside the
-family's support (Pareto y >= 1, Gamma y > 0); ``parametric`` marks the
-cpcm families, the only ones whose noise distribution is testable and so
-asked the uniformity question, and each has ``marginal_noise(y)``: the
-transform under constant parameters fitted to the marginal of y.
+significance, or the linear slopes' t-tests.  ``stattests.perm_significance``
+refits the class and reads its ``permutation_pieces(x, y)``; that function's
+docstring states the protocol.  ``smoother`` says whether
+``SMOOTHER_DIM_CAP`` bounds ``|s|`` (all but linear); ``check_support(y)``
+raises ``DomainViolation`` outside the family's support (Pareto y >= 1,
+Gamma y > 0); ``parametric`` marks the cpcm families, the only ones whose
+noise distribution is testable and so asked the uniformity question, and
+each has ``marginal_noise(y)``: the transform under constant parameters
+fitted to the marginal of y.
 
 The additive and location-scale classes estimate conditional means with
 penalized thin-plate-spline smoothing (penalty chosen by two-fold
 cross-validation); those classes restrict the noise to be additive, not the
 mean to be additive across covariates, so the smoother must represent
 interactions, and it must track the surface closely enough that the
-independence test sees only noise.  The fit, the CV and the permutation
-losses share one kernel, ``_thin_plate``, and one coefficient layout; each
-fit solves the saddle system [[K + lambda I, P], [P', 0]] (Wahba 1990).
-The parametric class uses the location-scale fit for the Gaussian family
-and kernel-local maximum likelihood or moment matching with Silverman
-bandwidths for the Pareto and Gamma families.
+independence test sees only noise.  A model builds one (n, n) kernel,
+``_thin_plate``, and fits each of its splines on it (two for the
+location-scale class); the CV and the permutation losses use that kernel's
+coefficient layout.  Each spline solves the saddle system
+[[K + lambda I, P], [P', 0]] (Wahba 1990).  The parametric class uses
+the location-scale fit for the Gaussian family and kernel-local maximum
+likelihood or moment matching with Silverman bandwidths for the Pareto
+and Gamma families.
 """
 
 from __future__ import annotations
@@ -74,13 +74,14 @@ class _Model:
 
 
 def _thin_plate(r2: np.ndarray) -> np.ndarray:
-    """The thin-plate kernel 1/2 r^2 log r^2 of the squared distances r2, 0 at
-    r = 0 (r2 is raised to the smallest normal float for the log)."""
-    kernel = np.maximum(r2, _TINY)
-    np.log(kernel, out=kernel)
-    kernel *= r2
-    kernel *= 0.5
-    return kernel
+    """The thin-plate kernel 1/2 r^2 log r^2 of the squared distances r2,
+    written over r2; 0 at r = 0 (r2 is raised to the smallest normal float
+    for the log)."""
+    log = np.maximum(r2, _TINY)
+    np.log(log, out=log)
+    r2 *= log
+    r2 *= 0.5
+    return r2
 
 
 def _spline_values(kernel: np.ndarray, xn: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -106,60 +107,20 @@ def _solve_spline(kernel: np.ndarray, xn: np.ndarray, yn: np.ndarray, penalty: f
     return coeffs
 
 
-class _ThinPlateEvaluator:
-    """Permutation losses of a model built on thin-plate splines that share
-    their centres and their covariate scaling, one spline per column of the
-    values that ``model.prediction_loss(values, y)`` scores.
+class _Spline:
+    """Penalized thin-plate spline of y on the rescaled covariates ``xn``,
+    given their (n, n) ``kernel``, with the CV-chosen penalty.
 
-    Permuting column ``pos`` of the held-out rows changes only that
-    column's term of the squared distance to the centres: with D the
-    (d, m, P) per-column squared differences, r^2 = rest_pos + D[pos][perm],
-    where rest_pos sums the other columns (so it is never negative) and is
-    kept for one position at a time.  One ``_thin_plate`` pass serves every
-    spline; in the polynomial block [1, xn] only column ``pos`` changes.
+    The response is standardized, so one penalty grid serves every dataset.
+    ``coeffs`` holds the weights a of the rows as centres, then those of
+    [1, xn], on the scale of y.  The CV folds, the even and odd rows, take
+    their kernels as blocks of the given one.  The fitted values are
+    y - penalty * a, the first block row of the system.
     """
 
-    def __init__(self, model, smoothers: tuple, x: np.ndarray, y: np.ndarray):
-        self._model = model
-        self._y = y
-        self._coeffs = np.column_stack([s.coeffs for s in smoothers])
-        self._xn = x / smoothers[0].x_scale
-        self._diff2 = np.square(self._xn.T[:, :, None] - smoothers[0].centres.T[:, None, :])
-        self._pos, self._rest = None, None
-        kernel = _thin_plate(self._diff2.sum(axis=0))
-        self.baseline = model.prediction_loss(_spline_values(kernel, self._xn, self._coeffs), y)
-
-    def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
-        if pos != self._pos:
-            self._rest = None  # one position's sum alive at a time
-            self._rest = sum(self._diff2[j] for j in range(self._diff2.shape[0]) if j != pos)
-            self._pos = pos
-        r2 = self._diff2[pos][perm]
-        r2 += self._rest
-        xn = self._xn.copy()
-        xn[:, pos] = self._xn[perm, pos]
-        return self._model.prediction_loss(_spline_values(_thin_plate(r2), xn, self._coeffs), self._y)
-
-
-class _MeanSmoother(_Model):
-    """Penalized thin-plate-spline estimate of E[y|x] with CV-chosen penalty.
-
-    Covariates are rescaled to unit variance and the response is
-    standardized, so one penalty grid serves every dataset.  The centres are
-    the rescaled rows; ``coeffs`` holds their weights a, then those of
-    [1, x / x_scale], on the scale of y.  The CV folds, the even and odd rows,
-    take their kernels as blocks of the one over all rows.  The fitted values
-    are y - penalty * a, the first block row of the system.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x_scale = np.std(x, axis=0)
-        self.x_scale[self.x_scale == 0] = 1.0
+    def __init__(self, kernel: np.ndarray, xn: np.ndarray, y: np.ndarray):
         y_mean, y_scale = float(np.mean(y)), max(float(np.std(y)), _TINY)
-        self.centres = xn = x / self.x_scale
         yn = (y - y_mean) / y_scale
-        kernel = _thin_plate(cdist(xn, xn, "sqeuclidean"))
-
         best, best_err = PENALTY_GRID[0], np.inf
         if y.size >= 8:
             for lam in PENALTY_GRID:
@@ -174,13 +135,47 @@ class _MeanSmoother(_Model):
         self.coeffs[y.size] += y_mean
         self.fitted = y - self.penalty * self.coeffs[: y.size]
 
+
+class _MeanSmoother(_Model):
+    """Thin-plate-spline estimate of E[y|x].
+
+    Covariates are rescaled to unit variance; the rescaled rows are the
+    ``centres`` of the one kernel that ``_fit(kernel, y)`` fits ``splines``
+    on, one spline per column of the values that ``prediction_loss(values,
+    y)`` scores.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x_scale = np.std(x, axis=0)
+        self.x_scale[self.x_scale == 0] = 1.0
+        self.centres = x / self.x_scale
+        self._fit(_thin_plate(cdist(self.centres, self.centres, "sqeuclidean")), y)
+
+    def _fit(self, kernel: np.ndarray, y: np.ndarray) -> None:
+        self.splines = (_Spline(kernel, self.centres, y),)
+        self.fitted = self.splines[0].fitted
+
     @staticmethod
     def prediction_loss(values: np.ndarray, y: np.ndarray) -> float:
         """Mean squared error of the predictions ``values[:, 0]``."""
         return float(np.mean((y - values[:, 0]) ** 2))
 
-    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _ThinPlateEvaluator:
-        return _ThinPlateEvaluator(self, (self,), x, y)
+    def permutation_pieces(self, x: np.ndarray, y: np.ndarray):
+        """The (d, m, P) per-column squared differences to the P centres,
+        which sum to the squared distances r^2, and the loss of one sum.
+
+        The loss overwrites r^2 with its ``_thin_plate`` kernel, which
+        serves every spline; in the polynomial block [1, xn] it reorders
+        column ``pos`` by ``perm``."""
+        xn = x / self.x_scale
+        coeffs = np.column_stack([s.coeffs for s in self.splines])
+
+        def loss(r2: np.ndarray, pos: int, perm: np.ndarray) -> float:
+            xp = xn.copy()
+            xp[:, pos] = xn[perm, pos]
+            return self.prediction_loss(_spline_values(_thin_plate(r2), xp, coeffs), y)
+
+        return np.square(xn.T[:, :, None] - self.centres.T[:, None, :]), loss
 
 
 # E[log eps^2] for standard normal eps: psi(1/2) + log 2.  The smoother of
@@ -189,25 +184,25 @@ class _MeanSmoother(_Model):
 _LOG_CHI2_MEAN = -1.2703628454614782
 
 
-class _LocationScaleModel(_Model):
-    """Two-stage heteroscedastic fit: mean, then log squared residuals."""
+class _LocationScaleModel(_MeanSmoother):
+    """Two-stage heteroscedastic fit: the mean spline, then the spline of
+    the log squared residuals, both on the one kernel."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def _fit(self, kernel: np.ndarray, y: np.ndarray) -> None:
         self.floor = 1e-6 * max(float(np.std(y)), _TINY)
-        self.mu_model = _MeanSmoother(x, y)
-        resid = y - self.mu_model.fitted
-        z = np.log(resid * resid + self.floor**2)
-        self.logvar_model = _MeanSmoother(x, z)
+        mu = _Spline(kernel, self.centres, y)
+        resid = y - mu.fitted
+        self.splines = (mu, _Spline(kernel, self.centres, np.log(resid * resid + self.floor**2)))
 
     def _sigma_from_logvar(self, logvar: np.ndarray) -> np.ndarray:
         return np.maximum(np.exp(0.5 * (logvar - _LOG_CHI2_MEAN)), self.floor)
 
     def sigma_fitted(self) -> np.ndarray:
-        return self._sigma_from_logvar(self.logvar_model.fitted)
+        return self._sigma_from_logvar(self.splines[1].fitted)
 
     def _standardized(self, y: np.ndarray):
         """Residuals over the fitted scale, and the mean fit's squared error."""
-        resid = y - self.mu_model.fitted
+        resid = y - self.splines[0].fitted
         return resid / self.sigma_fitted(), float(np.mean(resid**2))
 
     def noise(self, y: np.ndarray):
@@ -221,10 +216,6 @@ class _LocationScaleModel(_Model):
         sigma = self._sigma_from_logvar(values[:, 1])  # log-chi2 corrected
         z = (y - values[:, 0]) / sigma
         return float(np.mean(np.log(sigma) + 0.5 * z * z))
-
-    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _ThinPlateEvaluator:
-        """One evaluator for both splines, which share their centres and scaling."""
-        return _ThinPlateEvaluator(self, (self.mu_model, self.logvar_model), x, y)
 
 
 class _GaussianCpcmModel(_LocationScaleModel):
@@ -252,22 +243,6 @@ def _silverman(x: np.ndarray, dim: int) -> float:
     if sd == 0.0:
         return 1.0
     return 1.06 * sd * x.size ** (-1.0 / (4.0 + dim))
-
-
-class _KernelLocalEvaluator:
-    """Permutation losses from the per-column log-kernel factors: permuting
-    one column swaps one factor, so no kernel is rebuilt."""
-
-    def __init__(self, model: "_KernelLocalModel", x: np.ndarray, y: np.ndarray):
-        self._model = model
-        self._y = y
-        self._factors = model.log_factors(x)
-        self._total = self._factors.sum(axis=0)
-        self.baseline = model.nll(np.exp(self._total), y)
-
-    def loss_with_permuted(self, pos: int, perm: np.ndarray) -> float:
-        logw = self._total - self._factors[pos] + self._factors[pos][perm]
-        return self._model.nll(np.exp(logw), self._y)
 
 
 # Rescales the Silverman bandwidths of the kernel-local parametric fits.
@@ -330,8 +305,14 @@ class _KernelLocalModel(_Model):
         eps = np.clip(eps, EPS_CLIP, 1.0 - EPS_CLIP)
         return eps, eps, fit_loss
 
-    def permutation_evaluator(self, x: np.ndarray, y: np.ndarray) -> _KernelLocalEvaluator:
-        return _KernelLocalEvaluator(self, x, y)
+    def permutation_pieces(self, x: np.ndarray, y: np.ndarray):
+        """The per-column log-kernels ``log_factors(x)`` and the loss of one
+        sum, which is exponentiated in place."""
+
+        def loss(logw: np.ndarray, pos: int, perm: np.ndarray) -> float:
+            return self.nll(np.exp(logw, out=logw), y)
+
+        return self.log_factors(x), loss
 
 
 class _ParetoLocalModel(_KernelLocalModel):

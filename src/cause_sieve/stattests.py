@@ -361,15 +361,17 @@ def perm_significance(
     """Permutation-importance p-values, one per member of ``s``.
 
     ``refit(x, y)`` fits the class-appropriate model, and the model's
-    ``permutation_evaluator(x, y)`` on the held-out rows supplies the
-    losses: a ``baseline`` and ``loss_with_permuted(pos, perm)``, the loss
-    with column ``pos`` reordered by ``perm`` (the identity reproduces the
-    baseline within rounding).  Every model that is refitted here supplies
-    its own evaluator, and every one factorises by column: permuting column
-    ``pos`` replaces that column's term of precomputed per-column pieces (a
-    thin-plate distance, a log-kernel), so no model is re-evaluated from
-    scratch.  The positions are the outer loop, so an evaluator keeps the
-    other columns' sum for one position at a time.
+    ``permutation_pieces(x, y)`` on the held-out rows returns two things:
+    a (d, m, P) array of per-column pieces that sum over the d columns to
+    what the loss reads (thin-plate squared distances to the P centres,
+    Gaussian log-kernels to the P training rows), and ``loss(summed, pos,
+    perm)``, the held-out loss of one such sum of m rows in which column
+    ``pos`` is reordered by ``perm``; the loss may overwrite ``summed``.
+    Every model refitted here supplies both, so permuting column ``pos``
+    replaces one piece and no model is re-evaluated from scratch: with
+    rest = the sum of the other columns' pieces, formed once per position,
+    each permuted loss is ``loss(pieces[pos][perm] + rest, pos, perm)``.
+    The baseline is the identity permutation of column 0.
 
     The model is fitted on a held-out split: half the rows train the model,
     the other half supply the losses.  Comparing the held-out baseline with
@@ -382,27 +384,22 @@ def perm_significance(
     """
     if n_perm < 50:
         raise BadParam(f"n_perm must be at least 50, got {n_perm}")
-    x = data.covariates(s)
-    y = data.y
-    n = data.n
-
-    rng = seeding.substream(seed, seeding.SIG_SPLIT, *s.members)
-    order = rng.permutation(n)
-    half = n // 2
+    x, y, half = data.covariates(s), data.y, data.n // 2
+    order = seeding.substream(seed, seeding.SIG_SPLIT, *s.members).permutation(data.n)
     train, test = order[:half], order[half:]
-
-    model = refit(x[train], y[train])
-    evaluator = model.permutation_evaluator(x[test], y[test])
-    base = evaluator.baseline
+    pieces, loss = refit(x[train], y[train]).permutation_pieces(x[test], y[test])
+    m = test.size
 
     p_values = np.empty(len(s))
-    m = test.size
     for pos, member in enumerate(s.members):
+        rest = sum(pieces[j] for j in range(len(s)) if j != pos)  # 0 for one column
+        if pos == 0:
+            base = loss(pieces[0] + rest, 0, np.arange(m))
         col_rng = seeding.substream(seed, seeding.SIG_PERM, member, *s.members)
         count = 0
         for _ in range(n_perm):
             perm = col_rng.permutation(m)
-            if evaluator.loss_with_permuted(pos, perm) <= base:
+            if loss(pieces[pos][perm] + rest, pos, perm) <= base:
                 count += 1
         p_values[pos] = (1 + count) / (n_perm + 1)
     return p_values

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .discover import DiscoveryConfig, analyze
+from .discover import DiscoveryConfig, analyze, check_plausibility
 from .errors import BadParam
 from .jsonout import write_json
-from .model import FunctionClass, validate_dataset
+from .model import CandidateSet, FunctionClass, validate_dataset
 from .parallel import thread_map
 from .stattests import hsic_test, hsic_tests
 from .synth import gen_linear_chain
@@ -291,10 +291,10 @@ def _norm_exception_pair(rng: np.random.Generator, n: int, exception: bool):
 
 def _direction_verdicts(x, y, cfg: DiscoveryConfig) -> tuple[bool, bool]:
     """Plausibility of {1} with the roles as given, then swapped."""
-    f_class = FunctionClass("cpcm", "gaussian")
-    fwd = analyze(validate_dataset(np.column_stack([y, x]), ["Y", "X1"], "Y"), f_class, cfg, mode="isd")
-    rev = analyze(validate_dataset(np.column_stack([x, y]), ["Y", "X1"], "Y"), f_class, cfg, mode="isd")
-    return fwd.isd_estimate == (1,), rev.isd_estimate == (1,)
+    f_class, s = FunctionClass("cpcm", "gaussian"), CandidateSet((1,))
+    fwd = check_plausibility(validate_dataset(np.column_stack([y, x]), ["Y", "X1"], "Y"), s, f_class, cfg)
+    rev = check_plausibility(validate_dataset(np.column_stack([x, y]), ["Y", "X1"], "Y"), s, f_class, cfg)
+    return fwd.plausible, rev.plausible
 
 
 def check_norm_exception(n: int = 500, n_reps: int = 20, seed: int = 0) -> TheoryCheckReport:

@@ -5,21 +5,21 @@ import warnings
 import numpy as np
 import pytest
 from scipy.interpolate import RBFInterpolator
+from scipy.spatial.distance import cdist
 from scipy.stats import kstest
 
-from cause_sieve import seeding
+from cause_sieve import regress, seeding
 from cause_sieve.errors import BadParam, DomainViolation, RankDeficient, StatError
 from cause_sieve.model import CLASS_CODES, CandidateSet, FunctionClass, enumerate_candidates
 from cause_sieve.regress import (
     MODELS,
     PENALTY_GRID,
-    _KernelLocalEvaluator,
     _KernelLocalModel,
     _LocationScaleModel,
     _ParetoLocalModel,
     recover_noise,
 )
-from cause_sieve.stattests import ad_uniform_test, hsic_test
+from cause_sieve.stattests import ad_uniform_test, gaussian_log_kernel, hsic_test
 from cause_sieve.synth import gen_benchmark1, gen_benchmark3
 
 from conftest import table
@@ -177,6 +177,20 @@ class TestFitLocationScale:
             tracemalloc.stop()
         assert peak < 4 * 1000 * 1000 * 8
 
+    def test_fit_builds_one_kernel(self, monkeypatch):
+        # the mean and log-variance splines share the one (n, n) kernel
+        calls = []
+
+        def counting_cdist(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(regress, "cdist", counting_cdist)
+        rng = seeding.substream(6, 904)
+        x = rng.standard_normal((200, 3))
+        _LocationScaleModel(x, np.sin(x[:, 0]) + rng.standard_normal(200))
+        assert len(calls) == 1
+
     def test_degenerate_residuals_clamped(self):
         # an exactly representable target drives residuals to zero; the
         # sigma floor keeps the standardization finite
@@ -330,8 +344,8 @@ def test_one_model_per_function_class():
 
 
 # every non-linear model is a held-out refit of the significance test, and
-# every evaluator factorises by column: the splines' over their thin-plate
-# distances, the kernel-local ones over their log-kernels
+# its permutation pieces factorise by column: the splines' thin-plate
+# distances, the kernel-local ones' log-kernels
 _KERNEL_LOCAL = {key: cls for key, cls in MODELS.items() if issubclass(cls, _KernelLocalModel)}
 _SPLINES = [cls for key, cls in MODELS.items() if key != ("linear", None) and key not in _KERNEL_LOCAL]
 
@@ -360,10 +374,6 @@ def _tps(xn, yn, penalty):
     return RBFInterpolator(xn, yn, kernel="thin_plate_spline", smoothing=penalty)
 
 
-def _smoothers(model):
-    return (model.mu_model, model.logvar_model) if isinstance(model, _LocationScaleModel) else (model,)
-
-
 def _references(model, x, y):
     """One reference spline per smoother of the model, built from (x, y) alone."""
     mu = _ReferenceSpline(x, y)
@@ -378,6 +388,20 @@ def _spline_loss(model, refs, x, y):
     return model.prediction_loss(np.column_stack([ref(x) for ref in refs]), y)
 
 
+def _permuted_loss(model, x, y, pos, perm):
+    """The held-out loss with column ``pos`` of ``x`` reordered by ``perm``,
+    summed from the model's permutation pieces as perm_significance sums
+    them."""
+    pieces, loss = model.permutation_pieces(x, y)
+    rest = sum(pieces[j] for j in range(len(pieces)) if j != pos)
+    return loss(pieces[pos][perm] + rest, pos, perm)
+
+
+def _baseline(model, x, y):
+    """The held-out loss: the identity permutation of column 0."""
+    return _permuted_loss(model, x, y, 0, np.arange(x.shape[0]))
+
+
 def _permuted(x, pos, perm):
     out = x.copy()
     out[:, pos] = x[perm, pos]
@@ -385,31 +409,32 @@ def _permuted(x, pos, perm):
 
 
 class TestPermutationEvaluator:
-    """Each evaluator reproduces its model's held-out losses within rounding."""
+    """The losses factorised from each model's permutation pieces reproduce
+    its held-out losses within rounding."""
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("model_cls", _SPLINES, ids=lambda cls: cls.__name__)
     def test_thin_plate_matches_scipy(self, model_cls, d):
-        # the spline, its CV penalty, its fitted values and the evaluator's
+        # the spline, its CV penalty, its fitted values and the factorised
         # losses agree with scipy's public RBFInterpolator
         rng = seeding.substream(d, 910)
         x = rng.standard_normal((200, d))
         y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, -1] ** 2) * rng.standard_normal(200)
         model = model_cls(x[:100], y[:100])
         refs = _references(model, x[:100], y[:100])
-        for smoother, ref in zip(_smoothers(model), refs):
-            assert smoother.penalty == ref.penalty
-            np.testing.assert_allclose(smoother.fitted, ref(x[:100]), rtol=1e-10, atol=0.0)
+        for spline, ref in zip(model.splines, refs):
+            assert spline.penalty == ref.penalty
+            np.testing.assert_allclose(spline.fitted, ref(x[:100]), rtol=1e-10, atol=0.0)
         xt, yt = x[100:], y[100:]
-        ev = model.permutation_evaluator(xt, yt)
-        assert ev.baseline == pytest.approx(_spline_loss(model, refs, xt, yt), rel=1e-10, abs=0.0)
+        baseline = _baseline(model, xt, yt)
+        assert baseline == pytest.approx(_spline_loss(model, refs, xt, yt), rel=1e-10, abs=0.0)
         for _ in range(3):
             for pos in range(d):
                 perm = rng.permutation(100)
                 want = _spline_loss(model, refs, _permuted(xt, pos, perm), yt)
-                assert ev.loss_with_permuted(pos, perm) == pytest.approx(want, rel=1e-10, abs=0.0)
+                assert _permuted_loss(model, xt, yt, pos, perm) == pytest.approx(want, rel=1e-10, abs=0.0)
         for pos in range(d):
-            assert ev.loss_with_permuted(pos, np.arange(100)) == pytest.approx(ev.baseline, rel=1e-12, abs=0.0)
+            assert _permuted_loss(model, xt, yt, pos, np.arange(100)) == pytest.approx(baseline, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model_cls", _SPLINES, ids=lambda cls: cls.__name__)
     def test_thin_plate_at_training_rows(self, model_cls):
@@ -426,11 +451,11 @@ class TestPermutationEvaluator:
         xt[:30] = x[:30]
         xt[30:60, 1] = x[30:60, 1]
         half_fixed = np.concatenate([np.arange(50), 50 + rng.permutation(50)])
-        ev = model.permutation_evaluator(xt, yt)
-        assert np.isfinite(ev.baseline)
-        assert ev.baseline == pytest.approx(_spline_loss(model, refs, xt, yt), rel=1e-10, abs=0.0)
+        baseline = _baseline(model, xt, yt)
+        assert np.isfinite(baseline)
+        assert baseline == pytest.approx(_spline_loss(model, refs, xt, yt), rel=1e-10, abs=0.0)
         for perm in (np.arange(100), half_fixed, rng.permutation(100)):
-            got = ev.loss_with_permuted(0, perm)
+            got = _permuted_loss(model, xt, yt, 0, perm)
             assert np.isfinite(got)
             assert got == pytest.approx(_spline_loss(model, refs, _permuted(xt, 0, perm), yt), rel=1e-10, abs=0.0)
 
@@ -443,7 +468,27 @@ class TestPermutationEvaluator:
         else:
             y = rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5)
         model = _KERNEL_LOCAL[("cpcm", family)](x[:100], y[:100])
-        ev = model.permutation_evaluator(x[100:], y[100:])
-        assert isinstance(ev, _KernelLocalEvaluator)
+        xt, yt = x[100:], y[100:]
+        baseline = _baseline(model, xt, yt)
         for pos in range(2):
-            assert ev.loss_with_permuted(pos, np.arange(100)) == pytest.approx(ev.baseline, rel=1e-12, abs=0.0)
+            assert _permuted_loss(model, xt, yt, pos, np.arange(100)) == pytest.approx(baseline, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", [family for _, family in _KERNEL_LOCAL])
+    def test_factorised_cpcm_matches_rebuilt_kernel(self, family, d):
+        # each factorised permuted loss equals the likelihood under a
+        # kernel built afresh from the permuted held-out rows
+        rng = seeding.substream(d, 911)
+        x = rng.standard_normal((200, d))
+        if family == "pareto":
+            y = (1.0 - rng.random(200)) ** (-1.0 / (2.0 + np.tanh(x[:, 0])))
+        else:
+            y = rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5)
+        model = _KERNEL_LOCAL[("cpcm", family)](x[:100], y[:100])
+        xt, yt = x[100:], y[100:]
+        for pos in range(d):
+            for _ in range(3):
+                perm = rng.permutation(100)
+                logw = gaussian_log_kernel(_permuted(xt, pos, perm), model.x_train, model.bandwidths)
+                want = model.nll(np.exp(logw), yt)
+                assert _permuted_loss(model, xt, yt, pos, perm) == pytest.approx(want, rel=1e-12, abs=0.0)
