@@ -18,12 +18,11 @@ import sys
 from functools import partial
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import seeding, verify
 from .discover import DiscoveryConfig, analyze, bench_replicates, replicate, save_result
 from .errors import StatError, ValidationError
-from .model import FunctionClass, load_csv
+from .model import FunctionClass, average_ranks, load_csv
 from .parallel import available_cores
 from .synth import GENERATORS, gen_additive_grid, gen_linear_chain, write_generated
 
@@ -219,6 +218,16 @@ def _simulate_chunk(idx: int, *, cells, reps: int, n: int, seed: int, jobs: int 
     return [(c, g, rep, simulate_cell(c, g, rep, n, cell_seed, jobs)) for rep in range(reps)]
 
 
+def spearman_rho(a, b) -> float:
+    """Spearman's rank correlation: the Pearson correlation of the average
+    ranks (scipy's ``spearmanr(a, b).statistic``); nan, without a warning,
+    when either vector is constant."""
+    ranks = [average_ranks(np.asarray(v, dtype=float)) for v in (a, b)]
+    if any(r.min() == r.max() for r in ranks):
+        return float("nan")
+    return float(np.corrcoef(ranks)[0, 1])
+
+
 def cmd_simulate(args) -> int:
     seed = _seed_of(args)
     c_lo, c_hi = _parse_range(args.grid[0], "c")
@@ -242,7 +251,7 @@ def cmd_simulate(args) -> int:
 
     gammas = [g for _, g, _, _ in rows]
     counts = [k for _, _, _, k in rows]
-    rho = spearmanr(gammas, counts).statistic if len(set(gammas)) > 1 else float("nan")
+    rho = spearman_rho(gammas, counts)
     by_gamma = {}
     for _, g, _, k in rows:
         by_gamma.setdefault(g, []).append(k)

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     BadParam,
@@ -203,20 +202,37 @@ def write_csv(dataset: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def average_ranks(v: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of the 1-D vector ``v``, each tie group given the mean of
+    the ranks it spans (scipy's ``rankdata(v, "average")``).
+
+    A stable argsort sorts ``v``; a group spanning sorted positions
+    [lo, hi) gets rank (lo + 1 + hi) / 2, an exact integer or half."""
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    lo = np.flatnonzero(np.concatenate(([True], sorted_v[1:] != sorted_v[:-1])))
+    hi = np.append(lo[1:], v.size)
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((lo + 1 + hi) / 2, hi - lo)
+    return ranks
+
+
 def pit_rescale(residuals) -> np.ndarray:
     """Probability integral transform by mid-ranks: (rank - 0.5) / n.
 
-    Ties get average ranks; the output is strictly inside (0, 1), which the
-    uniformity tests require, and depends on the input only through its
-    ranks (invariant under strictly increasing transforms).
+    Tied residuals share the mean of the ranks they span
+    (:func:`average_ranks`), so a tie group of size k starting at rank r
+    maps to (r + (k - 1) / 2 - 0.5) / n.  The output is strictly inside
+    (0, 1), which the uniformity tests require, and depends on the input
+    only through its ranks (invariant under strictly increasing
+    transforms).
     """
     r = np.asarray(residuals, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise BadParam("residuals must be a non-empty 1-D vector")
     if not np.all(np.isfinite(r)):
         raise BadParam("residuals must be finite")
-    ranks = rankdata(r, method="average")
-    return (ranks - 0.5) / r.size
+    return (average_ranks(r) - 0.5) / r.size
 
 
 def enumerate_candidates(p: int) -> list[CandidateSet]:

@@ -21,23 +21,27 @@ cross-validation); those classes restrict the noise to be additive, not the
 mean to be additive across covariates, so the smoother must represent
 interactions, and it must track the surface closely enough that the
 independence test sees only noise.  A model builds one (n, n) kernel,
-``_thin_plate``, and fits each of its splines on it (two for the
-location-scale class); the CV and the permutation losses use that kernel's
-coefficient layout.  Each spline solves the saddle system
-[[K + lambda I, P], [P', 0]] (Wahba 1990).  The parametric class uses
-the location-scale fit for the Gaussian family and kernel-local maximum
-likelihood or moment matching with Silverman bandwidths for the Pareto
-and Gamma families.
+``_thin_plate`` of the summed ``_squared_differences``, and fits each of
+its splines on it (two for the location-scale class); the CV and the
+permutation losses use that kernel's coefficient layout, and the
+permutation pieces are the same per-column squared differences, unsummed.
+Each spline solves the saddle system [[K + lambda I, P], [P', 0]] (Wahba
+1990).  The parametric class uses the location-scale fit for the Gaussian
+family and kernel-local maximum likelihood or moment matching with
+Silverman bandwidths for the Pareto and Gamma families.
+
+The Gamma CDF is ``scipy.special.gammainc(shape, y / scale)`` and the
+linear slopes' t tail is ``scipy.special.stdtr(dof, -|t|)``: the functions
+that ``scipy.stats.gamma.cdf`` and ``scipy.stats.t.sf`` evaluate, called
+without importing ``scipy.stats``, which would double the package's
+import time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
-from scipy.spatial.distance import cdist
-from scipy.special import gammaln, ndtr
-from scipy.stats import gamma as gamma_dist
-from scipy.stats import t as student_t
+from scipy.special import gammainc, gammaln, ndtr, stdtr
 
 from . import stattests
 from .errors import BadParam, DegenerateTheta, DomainViolation, RankDeficient
@@ -82,6 +86,26 @@ def _thin_plate(r2: np.ndarray) -> np.ndarray:
     r2 *= log
     r2 *= 0.5
     return r2
+
+
+def _squared_differences(a: np.ndarray, b: np.ndarray, *, summed: bool) -> np.ndarray:
+    """The squared differences of the rows of ``a`` to the rows of ``b``,
+    one (m, P) array per column: the (d, m, P) stack of them, or if
+    ``summed`` their sum, the squared distances r^2.
+
+    The sum adds the columns in column order, one at a time and in place,
+    as scipy's ``cdist(a, b, "sqeuclidean")`` does, so it never holds more
+    than two (m, P) arrays."""
+    d, m, n_centres = a.shape[1], a.shape[0], b.shape[0]
+    pieces = np.empty((1 if summed else d, m, n_centres))
+    buf = np.empty((m, n_centres)) if summed and d > 1 else None
+    for j in range(d):
+        piece = buf if summed and j else pieces[0 if summed else j]
+        np.subtract.outer(a[:, j], b[:, j], out=piece)
+        np.square(piece, out=piece)
+        if summed and j:
+            pieces[0] += piece
+    return pieces[0] if summed else pieces
 
 
 def _spline_values(kernel: np.ndarray, xn: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -149,7 +173,7 @@ class _MeanSmoother(_Model):
         self.x_scale = np.std(x, axis=0)
         self.x_scale[self.x_scale == 0] = 1.0
         self.centres = x / self.x_scale
-        self._fit(_thin_plate(cdist(self.centres, self.centres, "sqeuclidean")), y)
+        self._fit(_thin_plate(_squared_differences(self.centres, self.centres, summed=True)), y)
 
     def _fit(self, kernel: np.ndarray, y: np.ndarray) -> None:
         self.splines = (_Spline(kernel, self.centres, y),)
@@ -175,7 +199,7 @@ class _MeanSmoother(_Model):
             xp[:, pos] = xn[perm, pos]
             return self.prediction_loss(_spline_values(_thin_plate(r2), xp, coeffs), y)
 
-        return np.square(xn.T[:, :, None] - self.centres.T[:, None, :]), loss
+        return _squared_differences(xn, self.centres, summed=False), loss
 
 
 # E[log eps^2] for standard normal eps: psi(1/2) + log 2.  The smoother of
@@ -383,7 +407,7 @@ class _GammaLocalModel(_KernelLocalModel):
     @staticmethod
     def _transform(y: np.ndarray, params):
         shape, scale = params
-        return gamma_dist.cdf(y, a=shape, scale=scale), float(np.mean((y - shape * scale) ** 2))
+        return gammainc(shape, y / scale), float(np.mean((y - shape * scale) ** 2))
 
 
 # --------------------------------------------------------------------- #
@@ -427,7 +451,7 @@ class _LinearModel(_Model):
         se = np.sqrt(sigma2 * self.xtx_inv_diag[1:])
         with np.errstate(divide="ignore", invalid="ignore"):
             t_stats = np.where(se > 0, self.beta / se, np.inf)
-        return np.clip(2.0 * student_t.sf(np.abs(t_stats), dof), 0.0, 1.0)
+        return np.clip(2.0 * stdtr(dof, -np.abs(t_stats)), 0.0, 1.0)
 
 
 # --------------------------------------------------------------------- #

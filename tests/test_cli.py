@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
-from cause_sieve.cli import _run_replicates, main
+from cause_sieve.cli import _run_replicates, main, spearman_rho
 from cause_sieve.model import load_csv
 from cause_sieve.synth import gen_benchmark2, write_generated
 
@@ -113,12 +115,40 @@ class TestSimulate:
             "--reps", "2", "--n", "150", "--seed", "5", "--jobs", "1", "--out",
         ]
         assert main(args + [str(tmp_path / "s1.csv")]) == 0
-        assert "spearman" in capsys.readouterr().out
+        rows = np.loadtxt(tmp_path / "s1.csv", delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on a constant count
+            rho = spearmanr(rows[:, 1], rows[:, 3]).statistic
+        assert f"spearman(gamma, discovered_count) = {rho:.3f}" in capsys.readouterr().out
         assert main(args + [str(tmp_path / "s2.csv")]) == 0
         lines = open(tmp_path / "s1.csv").read().splitlines()
         assert lines[0] == "c,gamma,rep,discovered_count"
         assert len(lines) == 1 + 2 * 2 * 2
         assert _sha(tmp_path / "s1.csv") == _sha(tmp_path / "s2.csv")
+
+
+class TestSpearmanRho:
+    # a fixed grid of gamma values against tied counts, as simulate reports them
+    GAMMAS = np.repeat(np.linspace(0.0, 1.0, 5), 6)
+    COUNTS = np.array([0, 1, 0, 2, 1, 0, 1, 1, 2, 0, 1, 2, 2, 1, 3, 2, 2, 1, 2, 3, 3, 1, 2, 2, 3, 3, 2, 3, 3, 1])
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_scipy_with_ties(self, flip):
+        counts = 3 - self.COUNTS if flip else self.COUNTS
+        assert spearman_rho(self.GAMMAS, counts) == pytest.approx(spearmanr(self.GAMMAS, counts).statistic, abs=1e-12)
+
+    def test_matches_scipy_without_ties(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal(50), rng.standard_normal(50)
+        assert spearman_rho(a, b) == pytest.approx(spearmanr(a, b).statistic, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_constant_vector_is_nan_without_warning(self, n):
+        varying = np.arange(n, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in ((np.full(n, 0.5), varying), (varying, np.full(n, 2.0)), (np.zeros(n), np.ones(n))):
+                assert np.isnan(spearman_rho(a, b))
 
 
 class TestVerifyCommand:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from cause_sieve.errors import (
     BadParam,
@@ -16,6 +17,7 @@ from cause_sieve.model import (
     CandidateSet,
     DiscoveryConfig,
     FunctionClass,
+    average_ranks,
     enumerate_candidates,
     load_csv,
     pit_rescale,
@@ -98,6 +100,36 @@ class TestPitRescale:
         uniq = np.unique(r)
         transformed = pit_rescale(np.searchsorted(uniq, r).astype(float) * 2.5 - 7.0)
         np.testing.assert_allclose(out, transformed)
+
+
+class TestAverageRanks:
+    # bit-for-bit scipy.stats.rankdata(method="average"): the ranks are exact
+    # integers or halves, so pit_rescale's (rank - 0.5) / n cannot move
+
+    @staticmethod
+    def check(v):
+        v = np.asarray(v, dtype=float)
+        np.testing.assert_array_equal(average_ranks(v), rankdata(v, method="average"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80, unique=True))
+    def test_no_ties(self, values):
+        self.check(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.integers(0, 2))
+    def test_rounded_normals_heavy_ties(self, n, seed, decimals):
+        self.check(np.round(np.random.default_rng(seed).standard_normal(n), decimals))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 200), st.floats(-1e6, 1e6))
+    def test_all_equal(self, n, value):
+        self.check(np.full(n, value))
+        assert np.all(average_ranks(np.full(n, value)) == (n + 1) / 2)
+
+    def test_single_value(self):
+        self.check([3.5])
+        assert average_ranks(np.array([3.5])).tolist() == [1.0]
 
 
 class TestEnumerateCandidates:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import RBFInterpolator
 from scipy.spatial.distance import cdist
+from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
+from scipy.stats import t as student_t
 
 from cause_sieve import regress, seeding
 from cause_sieve.errors import BadParam, DomainViolation, RankDeficient, StatError
@@ -14,7 +16,9 @@ from cause_sieve.model import CLASS_CODES, CandidateSet, FunctionClass, enumerat
 from cause_sieve.regress import (
     MODELS,
     PENALTY_GRID,
+    _GammaLocalModel,
     _KernelLocalModel,
+    _LinearModel,
     _LocationScaleModel,
     _ParetoLocalModel,
     recover_noise,
@@ -180,12 +184,13 @@ class TestFitLocationScale:
     def test_fit_builds_one_kernel(self, monkeypatch):
         # the mean and log-variance splines share the one (n, n) kernel
         calls = []
+        squared_differences = regress._squared_differences
 
-        def counting_cdist(*args, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(args[0].shape)
-            return cdist(*args, **kwargs)
+            return squared_differences(*args, **kwargs)
 
-        monkeypatch.setattr(regress, "cdist", counting_cdist)
+        monkeypatch.setattr(regress, "_squared_differences", counting)
         rng = seeding.substream(6, 904)
         x = rng.standard_normal((200, 3))
         _LocationScaleModel(x, np.sin(x[:, 0]) + rng.standard_normal(200))
@@ -295,6 +300,59 @@ class TestFitCpcm:
             rec = recover_noise(table(y, x), CandidateSet((1,)), cpcm("gamma"), seed=seed)
             passes += ad_uniform_test(rec.eps).p_value > 0.05
         assert passes >= 7
+
+
+class TestScipyEquivalence:
+    """The package's stand-ins for scipy.stats and scipy.spatial agree with
+    them bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_squared_distances_are_cdist(self, d):
+        rng = seeding.substream(d, 910)
+        for n in (7, 64, 301):
+            a = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+            b = rng.standard_normal((n + 5, d))
+            for u, v in ((a, a), (a, b)):
+                expected = cdist(u, v, "sqeuclidean")
+                np.testing.assert_array_equal(regress._squared_differences(u, v, summed=True), expected)
+                pieces = regress._squared_differences(u, v, summed=False)
+                np.testing.assert_array_equal(pieces, np.square(u.T[:, :, None] - v.T[:, None, :]))
+
+    def test_gamma_transform_is_gamma_cdf(self):
+        rng = seeding.substream(0, 910)
+        x = rng.standard_normal((300, 2))
+        y = rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5)
+        model = _GammaLocalModel(x, y)
+        shape, scale = model.theta(x)
+        eps = model._transform(y, (shape, scale))[0]
+        np.testing.assert_array_equal(eps, gamma_dist.cdf(y, a=shape, scale=scale))
+        shape, scale = rng.uniform(0.2, 30.0, 300), rng.uniform(0.01, 20.0, 300)
+        eps = _GammaLocalModel._transform(y, (shape, scale))[0]
+        np.testing.assert_array_equal(eps, gamma_dist.cdf(y, a=shape, scale=scale))
+
+    def test_gamma_marginal_noise_is_gamma_cdf(self):
+        y = seeding.substream(1, 910).gamma(3.0, 0.7, 500)
+        mu, var = np.mean(y), np.var(y, ddof=1)
+        expected = gamma_dist.cdf(y, a=mu * mu / var, scale=var / mu)
+        np.testing.assert_array_equal(_GammaLocalModel.marginal_noise(y), expected)
+
+    @pytest.mark.parametrize("n", [20, 40, 500])
+    def test_linear_p_is_two_t_tails(self, n):
+        rng = seeding.substream(n, 911)
+        x = rng.standard_normal((n, 3))
+        y = x @ np.array([0.0, 0.3, 2.0]) + rng.standard_normal(n)
+        data = table(y, *(x[:, j] for j in range(3)))
+        model = _LinearModel(x, y)
+        model.xtx_inv_diag[2] = 0.0  # slope 2 reads se = 0
+        resid = y - model.fitted
+        dof = n - 4
+        se = np.sqrt(float(resid @ resid) / dof * model.xtx_inv_diag[1:])
+        with np.errstate(divide="ignore"):
+            t_stats = np.where(se > 0, model.beta / se, np.inf)
+        expected = 2.0 * student_t.sf(np.abs(t_stats), dof)
+        p = model.significance_p(data, CandidateSet((1, 2, 3)), seed=0)
+        np.testing.assert_array_equal(p, np.clip(expected, 0.0, 1.0))
+        assert p[1] == 0.0 and np.all(p[[0, 2]] > 0.0)
 
 
 # sha256 over every candidate's eps, residuals, significance_p and fit_loss
