@@ -8,7 +8,7 @@ with reports written as JSON:
 
 import cause_sieve as cs
 
-r = cs.check_gamma_support_exception(k1=2.0, k2=3.0, scale=1.0, n=1000, n_reps=20, seed=1)
+r = cs.check_gamma_support_exception(n=1000, n_reps=20, seed=1)
 print("gamma equal-scale exception (independence should hold):")
 print(f"  equal scales rejected {r.payload['rejection_rate']:.0%} of the time")
 print(f"  unequal-scale control rejected {r.payload['control_rejection_rate']:.0%} of the time")

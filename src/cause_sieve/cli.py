@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import seeding, verify
-from .discover import DiscoveryConfig, analyze, bench_replicates, replicate, save_result
+from .discover import DiscoveryConfig, analyze, bench_replicates, save_result
 from .errors import StatError, ValidationError
 from .model import FunctionClass, average_ranks, load_csv
 from .parallel import available_cores
@@ -146,18 +146,18 @@ def cmd_discover(args) -> int:
 _BENCH = {"1": "additive", "2": "additive", "3": "cpcm:pareto"}
 
 
-def _run_replicates(fn, reps: int, jobs: int | None):
-    """``[fn(r) for r in range(reps)]`` on a pool of at most ``jobs`` worker
-    processes (None: every available core).  Each worker process calls
-    ``fn(r, jobs=1)``, so parallelism stays one level deep; run here, ``fn``
-    keeps the default threads of :func:`analyze`."""
-    if jobs is None:
-        jobs = available_cores()
-    if jobs > 1 and reps > 1:
+def _run_replicates(fn, reps: int, workers: int | None):
+    """``[fn(r) for r in range(reps)]`` on a pool of at most ``workers``
+    processes (None: every available core).  In a worker process
+    :func:`parallel.thread_map` keeps to one thread, so parallelism stays
+    one level deep."""
+    if workers is None:
+        workers = available_cores()
+    if workers > 1 and reps > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
-            return list(pool.map(partial(fn, jobs=1), range(reps)))
+        with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
+            return list(pool.map(fn, range(reps)))
     return [fn(r) for r in range(reps)]
 
 
@@ -174,7 +174,7 @@ def cmd_bench(args) -> int:
         args.reps,
         n=args.n,
         seed=seed,
-        run=partial(_run_replicates, jobs=jobs),
+        run=partial(_run_replicates, workers=jobs),
     )
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -204,18 +204,14 @@ def _parse_range(token: str, name: str) -> tuple[float, float]:
     return lo, hi
 
 
-def simulate_cell(c: float, gamma: float, rep: int, n: int, seed: int, jobs: int | None = None) -> int:
-    """Number of true parents recovered by the additive sieve on one draw,
-    analysed on ``jobs`` threads."""
-    generator = partial(gen_additive_grid, c=c, gamma=gamma)
-    true_pa, est, _ = replicate(generator, FunctionClass("additive"), rep, n=n, seed=seed, mode="isd", jobs=jobs)
-    return len(set(est) & set(true_pa))
-
-
-def _simulate_chunk(idx: int, *, cells, reps: int, n: int, seed: int, jobs: int | None = None):
+def _simulate_chunk(idx: int, *, cells, reps: int, n: int, seed: int):
+    """Rows ``(c, gamma, rep, discovered_count)`` of grid cell ``idx``: the
+    number of true parents in the ISD estimate of each replicate."""
     c, g = cells[idx]
-    cell_seed = seeding.child_seed(seed, idx)
-    return [(c, g, rep, simulate_cell(c, g, rep, n, cell_seed, jobs)) for rep in range(reps)]
+    rows, _ = bench_replicates(
+        partial(gen_additive_grid, c=c, gamma=g), FunctionClass("additive"), reps, n=n, seed=seeding.child_seed(seed, idx)
+    )
+    return [(c, g, rep, len(set(isd) & set(truth))) for rep, (truth, isd, _) in enumerate(rows)]
 
 
 def spearman_rho(a, b) -> float:

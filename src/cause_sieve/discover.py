@@ -127,12 +127,9 @@ def analyze(
 ) -> DiscoveryResult:
     """Evaluate every candidate once and derive the requested estimates.
 
-    The candidates are evaluated concurrently on at most ``jobs`` threads,
-    with the largest sets started first.  ``jobs=None`` caps the count at
-    ``parallel.DEFAULT_THREADS`` (2) or the cores this process may use,
-    whichever is fewer, because memory grows with the threads: each
-    concurrent HSIC holds two (n, n) float arrays, 64 MB at n=2000.  The
-    spline solves may also start BLAS threads of their own in each thread
+    The candidates are evaluated on :func:`parallel.thread_map` with
+    ``jobs`` threads (None: its default), the largest sets started first.
+    The spline solves may also start BLAS threads of their own in each thread
     unless ``OPENBLAS_NUM_THREADS=1`` is set.  Each candidate seeds its own
     substreams, so the verdicts and the result JSON do not depend on
     ``jobs``.  A ``StatError`` marks its candidate implausible; any other
@@ -239,36 +236,32 @@ def metrics(true_pa, estimates) -> tuple[float, float]:
     return 100.0 * float(np.mean(correct)), 100.0 * float(np.mean(no_false))
 
 
-def replicate(generator, f_class: FunctionClass, rep: int, *, n: int, seed: int, mode: str = "both", jobs: int | None = None):
+def replicate(generator, f_class: FunctionClass, rep: int, *, n: int, seed: int):
     """One benchmark replicate: draw ``generator(child_seed(seed, REPLICATE, rep), n)``,
-    analyse it with ``DiscoveryConfig(seed=child_seed(seed, BOOT, rep))`` on
-    ``jobs`` threads, and return ``(true_pa, isd_estimate, score_estimate)``;
-    an estimate the mode skips is None."""
+    analyse it with ``DiscoveryConfig(seed=child_seed(seed, BOOT, rep))``, and
+    return ``(true_pa, isd_estimate, score_estimate)``."""
     gd = generator(seeding.child_seed(seed, seeding.REPLICATE, rep), n)
     cfg = DiscoveryConfig(seed=seeding.child_seed(seed, seeding.BOOT, rep))
-    result = analyze(gd.data, f_class, cfg, mode=mode, jobs=jobs)
-    score = None if result.score_estimate is None else tuple(result.score_estimate.members)
-    return gd.true_pa, result.isd_estimate, score
+    result = analyze(gd.data, f_class, cfg)
+    return gd.true_pa, result.isd_estimate, tuple(result.score_estimate.members)
 
 
-def bench_replicates(generator, f_class: FunctionClass, reps: int, *, n: int, seed: int, mode: str = "both", run=None):
+def bench_replicates(generator, f_class: FunctionClass, reps: int, *, n: int, seed: int, run=None):
     """Replicate a benchmark ``reps`` times and average the two metrics.
 
     ``run(fn, reps)`` maps the one-replicate function over ``range(reps)``
-    (a process pool, say); by default the replicates run in order.  ``fn``
-    takes ``jobs``, the threads of its :func:`analyze`: a ``run`` that
-    forks workers should pass ``jobs=1``, so parallelism stays one level
-    deep.  Returns the per-replicate rows of :func:`replicate` and, for
-    each algorithm the mode runs, ``{algorithm: (correct-causes %,
-    no-false-positives %)}``.
+    (a process pool, say); by default the replicates run in order.  Returns
+    the per-replicate rows of :func:`replicate` and ``{algorithm:
+    (correct-causes %, no-false-positives %)}`` for ``"isd"`` and ``"score"``.
     """
-    fn = partial(replicate, generator, f_class, n=n, seed=seed, mode=mode)
+    if reps < 1:
+        raise BadParam(f"reps must be at least 1, got {reps}")
+    fn = partial(replicate, generator, f_class, n=n, seed=seed)
     rows = run(fn, reps) if run else [fn(rep) for rep in range(reps)]
     summary = {}
     for algorithm, idx in (("isd", 1), ("score", 2)):
-        if mode in (algorithm, "both"):
-            per_rep = [metrics(row[0], [row[idx]]) for row in rows]
-            summary[algorithm] = (float(np.mean([m[0] for m in per_rep])), float(np.mean([m[1] for m in per_rep])))
+        per_rep = [metrics(row[0], [row[idx]]) for row in rows]
+        summary[algorithm] = (float(np.mean([m[0] for m in per_rep])), float(np.mean([m[1] for m in per_rep])))
     return rows, summary
 
 

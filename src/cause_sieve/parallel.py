@@ -5,11 +5,18 @@ not depend on how many threads run them or in which order they finish.
 Threads, not processes: most thin-plate-spline work (numpy ufuncs, BLAS
 products and LAPACK solves) and the other large numpy ufuncs release the
 interpreter lock, and threads share the table instead of pickling it.
+
+Parallelism stays one level deep.  A :func:`thread_map` given no thread
+count runs in order on the calling thread when it is already inside a
+parallel unit: in a worker process (the CLI's replicate pool), or on one of
+its own worker threads (an ``analyze`` inside a theory-check draw).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import BadParam
@@ -19,6 +26,8 @@ from .errors import BadParam
 # peak memory have been measured on two cores only, so the default does not
 # grow with the host.
 DEFAULT_THREADS = 2
+
+THREAD_PREFIX = "cause-sieve"
 
 
 def available_cores() -> int:
@@ -30,22 +39,31 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _nested() -> bool:
+    """Whether the caller already runs inside a parallel unit: a worker
+    process, or a :func:`thread_map` worker thread."""
+    return multiprocessing.parent_process() is not None or threading.current_thread().name.startswith(THREAD_PREFIX)
+
+
 def thread_map(fn, items, jobs: int | None = None) -> list:
     """``[fn(item) for item in items]`` on at most ``jobs`` threads.
 
-    ``jobs=None`` means ``min(DEFAULT_THREADS, available_cores())``.  No
-    thread starts when there is one item or ``jobs == 1``.  Items start in
-    the order given and results come back in that order.  If a call raises,
-    items not yet started are cancelled and the first error in item order is
-    raised once every worker thread has been joined.
+    ``jobs=None`` means one thread inside a worker process or on a
+    ``thread_map`` worker thread, so parallelism stays one level deep, and
+    ``min(DEFAULT_THREADS, available_cores())`` everywhere else.  An explicit
+    ``jobs`` is obeyed.  No thread starts when there is one item or
+    ``jobs == 1``.  Items start in the order given and results come back in
+    that order.  If a call raises, items not yet started are cancelled and
+    the first error in item order is raised once every worker thread has
+    been joined.
     """
     items = list(items)
     if jobs is None:
-        jobs = min(DEFAULT_THREADS, available_cores())
+        jobs = 1 if _nested() else min(DEFAULT_THREADS, available_cores())
     if jobs < 1:
         raise BadParam(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(jobs, thread_name_prefix="cause-sieve") as pool:
+    with ThreadPoolExecutor(jobs, thread_name_prefix=THREAD_PREFIX) as pool:
         return list(pool.map(fn, items))

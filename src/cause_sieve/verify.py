@@ -103,32 +103,25 @@ def _local_minima(surface: np.ndarray) -> np.ndarray:
     return is_min & np.logical_or.reduce([surface < below[sh] for sh in shifts])
 
 
-def check_dist_equality(
-    dist: str = "exponential",
-    n: int = 20000,
-    grid_a: tuple[float, float, float] = (-4.0, 4.0, 0.05),
-    grid_b: tuple[float, float, float] = (-2.0, 2.0, 0.05),
-    seed: int = 0,
-) -> TheoryCheckReport:
-    """Grid-search the affine map for distributional fixed points.
+# the (lo, hi, step) grids of the shift a and the scale b
+_GRID_A = (-4.0, 4.0, 0.05)
+_GRID_B = (-2.0, 2.0, 0.05)
+
+
+def check_dist_equality(n: int = 20000, seed: int = 0) -> TheoryCheckReport:
+    """Grid-search the affine map for distributional fixed points of a
+    standard exponential X.
 
     Passes when the two smallest local minima of the fingerprint surface
     sit within 0.1 of (0, 1) and (2 med(X), -1), and every grid point
     within 1.5x of the minimum level lies in those two neighbourhoods.
     """
-    if dist not in ("exponential", "lognormal"):
-        raise BadParam(f"dist must be exponential or lognormal, got {dist!r}")
-    for lo, hi, step in (grid_a, grid_b):
-        if step > 0.05 + 1e-12 or lo >= hi:
-            raise BadParam("grids must cover their range at step <= 0.05")
-
     rng = seeding.substream(seed, seeding.REPLICATE, 1)
-    x = rng.exponential(1.0, n) if dist == "exponential" else rng.lognormal(0.0, 1.0, n)
+    x = rng.exponential(1.0, n)
     xs = np.sort(x)
     med = float(np.median(x))
 
-    a_vals = np.arange(grid_a[0], grid_a[1] + grid_a[2] / 2, grid_a[2])
-    b_vals = np.arange(grid_b[0], grid_b[1] + grid_b[2] / 2, grid_b[2])
+    a_vals, b_vals = (np.arange(lo, hi + step / 2, step) for lo, hi, step in (_GRID_A, _GRID_B))
     distance = _fingerprint_distance(xs)
     surface = np.array([[distance(a, b) for b in b_vals] for a in a_vals])
 
@@ -151,7 +144,7 @@ def check_dist_equality(
     basin_ok = all(hits(float(a_vals[i]), float(b_vals[j])) for i, j in close)
 
     return TheoryCheckReport(
-        check_id=f"dist-equality:{dist}",
+        check_id="dist-equality:exponential",
         seed=seed,
         n_reps=1,
         n_samples=n,
@@ -204,12 +197,13 @@ def _cool_lemma_draw(part: int, rng: np.random.Generator, n: int):
     raise BadParam(f"part must be 1..4, got {part}")
 
 
-def _rejection_rates(draw, n_reps: int) -> tuple[float, float]:
-    """Rejection rates of both arms over ``n_reps`` draws, run on the
-    default threads of :func:`parallel.thread_map`; each draw seeds its own
-    substream, so the rates do not depend on the thread count."""
-    outcomes = thread_map(draw, range(n_reps))
-    return sum(a for a, _ in outcomes) / n_reps, sum(b for _, b in outcomes) / n_reps
+def _rates(draw, n_reps: int) -> list[float]:
+    """The rate of each outcome of ``draw(r)``, a tuple of bools, over
+    ``n_reps`` draws run on :func:`parallel.thread_map`; each draw seeds its
+    own substreams, so the rates do not depend on the thread count."""
+    if n_reps < 1:
+        raise BadParam(f"n_reps must be at least 1, got {n_reps}")
+    return [sum(col) / n_reps for col in zip(*thread_map(draw, range(n_reps)))]
 
 
 def check_cool_lemma(part: int, n: int = 2000, n_reps: int = 100, seed: int = 0) -> TheoryCheckReport:
@@ -221,7 +215,7 @@ def check_cool_lemma(part: int, n: int = 2000, n_reps: int = 100, seed: int = 0)
         main_res, control_res = hsic_tests(x1, [main, control])
         return main_res.p_value < ALPHA, control_res.p_value < ALPHA
 
-    main_rate, control_rate = _rejection_rates(draw, n_reps)
+    main_rate, control_rate = _rates(draw, n_reps)
     return TheoryCheckReport(
         check_id=f"cool-lemma:{part}",
         seed=seed,
@@ -237,30 +231,22 @@ def check_cool_lemma(part: int, n: int = 2000, n_reps: int = 100, seed: int = 0)
 # --------------------------------------------------------------------- #
 
 
-def check_gamma_support_exception(
-    k1: float = 2.0,
-    k2: float = 3.0,
-    scale: float = 1.0,
-    n: int = 2000,
-    n_reps: int = 100,
-    seed: int = 0,
-) -> TheoryCheckReport:
-    """Equal Gamma scales make the support ratio independent of the sum;
-    unequal scales (the control, scale doubled) must be detected."""
-    if k1 <= 0 or k2 <= 0 or scale <= 0:
-        raise BadParam("shapes and scale must be positive")
+def check_gamma_support_exception(n: int = 2000, n_reps: int = 100, seed: int = 0) -> TheoryCheckReport:
+    """Y ~ Gamma(2, 1) and eta ~ Gamma(3, 1): equal scales make the support
+    ratio Y/(Y+eta) independent of the sum; unequal scales (the control,
+    eta ~ Gamma(3, 2)) must be detected."""
 
     def draw(r):
         rng = seeding.substream(seed, seeding.REPLICATE, 31, r)
-        y = rng.gamma(k1, scale, n)
-        eta_eq = rng.gamma(k2, scale, n)
+        y = rng.gamma(2.0, 1.0, n)
+        eta_eq = rng.gamma(3.0, 1.0, n)
         x_eq = y + eta_eq
         exception = _rejects(x_eq, y / x_eq)
-        eta_ne = rng.gamma(k2, 2.0 * scale, n)
+        eta_ne = rng.gamma(3.0, 2.0, n)
         x_ne = y + eta_ne
         return exception, _rejects(x_ne, y / x_ne)
 
-    exception_rate, control_rate = _rejection_rates(draw, n_reps)
+    exception_rate, control_rate = _rates(draw, n_reps)
     return TheoryCheckReport(
         check_id="gamma-exception",
         seed=seed,
@@ -304,21 +290,15 @@ def check_norm_exception(n: int = 500, n_reps: int = 20, seed: int = 0) -> Theor
     role does not.  In the exception model both roles admit the Gaussian
     fit, so the oriented estimate stays empty.
     """
-    empty_in_exception = 0
-    both_plausible = 0
-    found_in_control = 0
-    for r in range(n_reps):
+
+    def draw(r):
         rng = seeding.substream(seed, seeding.REPLICATE, 41, r)
         cfg = DiscoveryConfig(seed=seeding.child_seed(seed, 41, r))
-        x, y = _norm_exception_pair(rng, n, exception=True)
-        fwd, rev = _direction_verdicts(x, y, cfg)
-        empty_in_exception += not (fwd and not rev)
-        both_plausible += fwd and rev
-        x, y = _norm_exception_pair(rng, n, exception=False)
-        fwd, rev = _direction_verdicts(x, y, cfg)
-        found_in_control += fwd and not rev
-    empty_rate = empty_in_exception / n_reps
-    found_rate = found_in_control / n_reps
+        fwd, rev = _direction_verdicts(*_norm_exception_pair(rng, n, exception=True), cfg)
+        control_fwd, control_rev = _direction_verdicts(*_norm_exception_pair(rng, n, exception=False), cfg)
+        return not (fwd and not rev), fwd and rev, control_fwd and not control_rev
+
+    empty_rate, both_rate, found_rate = _rates(draw, n_reps)
     low_power = n < 200
     return TheoryCheckReport(
         check_id="norm-exception",
@@ -328,7 +308,7 @@ def check_norm_exception(n: int = 500, n_reps: int = 20, seed: int = 0) -> Theor
         passed=bool(not low_power and empty_rate >= 0.7 and found_rate >= 0.7),
         payload={
             "exception_empty_rate": empty_rate,
-            "exception_both_plausible_rate": both_plausible / n_reps,
+            "exception_both_plausible_rate": both_rate,
             "control_found_rate": found_rate,
             "low_power": bool(low_power),
         },
@@ -343,20 +323,14 @@ def check_norm_exception(n: int = 500, n_reps: int = 20, seed: int = 0) -> Theor
 def check_marginalizability(noise: str = "gaussian", n: int = 2000, n_reps: int = 50, seed: int = 0) -> TheoryCheckReport:
     """Gaussian chain: the linear sieve must come up empty.  Non-Gaussian
     chain: only the source X1 survives."""
-    outcomes = {"empty": 0, "x1": 0, "other": 0}
-    f_class = FunctionClass("linear")
-    for r in range(n_reps):
+
+    def draw(r):
         gd = gen_linear_chain(seeding.child_seed(seed, seeding.REPLICATE, 51, r), n, noise)
         cfg = DiscoveryConfig(seed=seeding.child_seed(seed, 51, r))
-        est = analyze(gd.data, f_class, cfg, mode="isd").isd_estimate
-        if est == ():
-            outcomes["empty"] += 1
-        elif est == (1,):
-            outcomes["x1"] += 1
-        else:
-            outcomes["other"] += 1
-    empty_rate = outcomes["empty"] / n_reps
-    x1_rate = outcomes["x1"] / n_reps
+        est = analyze(gd.data, FunctionClass("linear"), cfg, mode="isd").isd_estimate
+        return est == (), est == (1,), est not in ((), (1,))
+
+    empty_rate, x1_rate, other_rate = _rates(draw, n_reps)
     passed = empty_rate >= 0.9 if noise == "gaussian" else x1_rate >= 0.8
     return TheoryCheckReport(
         check_id=f"marginalizability:{noise}",
@@ -364,5 +338,5 @@ def check_marginalizability(noise: str = "gaussian", n: int = 2000, n_reps: int 
         n_reps=n_reps,
         n_samples=n,
         passed=bool(passed),
-        payload={"empty_rate": empty_rate, "x1_rate": x1_rate, "other_rate": outcomes["other"] / n_reps},
+        payload={"empty_rate": empty_rate, "x1_rate": x1_rate, "other_rate": other_rate},
     )

@@ -30,7 +30,7 @@ def _sha(path):
 
 
 def _bench_runs(generator, n_reps, n, f_class, mode):
-    _, summary = cs.bench_replicates(generator, f_class, n_reps, n=n, seed=BENCH_SEED, mode=mode)
+    _, summary = cs.bench_replicates(generator, f_class, n_reps, n=n, seed=BENCH_SEED)
     return summary[mode]
 
 
@@ -135,7 +135,7 @@ def test_criterion_07_ad_analytic_point():
 
 
 def test_criterion_08_affine_equality_grid():
-    report = cs.check_dist_equality(dist="exponential", n=20000, seed=3)
+    report = cs.check_dist_equality(n=20000, seed=3)
     minima = report.payload["minima"][:2]
     ok = report.passed
     _line("08 lemma-grid-search", ok, f"two smallest minima at {[(round(a,3), round(b,3)) for _, a, b in minima]}")
@@ -154,7 +154,7 @@ def test_criterion_09_inseparability_suite():
 
 
 def test_criterion_10_gamma_support_exception():
-    r = cs.check_gamma_support_exception(k1=2.0, k2=3.0, scale=1.0, n=2000, n_reps=100, seed=5)
+    r = cs.check_gamma_support_exception(n=2000, n_reps=100, seed=5)
     ok = r.payload["rejection_rate"] <= 0.12 and r.payload["control_rejection_rate"] >= 0.9
     _line(
         "10 gamma-exception", ok,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import threading
 import time
 import warnings
 
@@ -10,6 +11,7 @@ from scipy.stats import spearmanr
 
 from cause_sieve.cli import _run_replicates, main, spearman_rho
 from cause_sieve.model import load_csv
+from cause_sieve.parallel import DEFAULT_THREADS, available_cores, thread_map
 from cause_sieve.synth import gen_benchmark2, write_generated
 
 
@@ -95,17 +97,20 @@ class TestBench:
         assert header == ["algorithm", "benchmark", "reps", "n", "class", "correct_causes_pct", "no_false_positives_pct"]
 
 
-def _jobs_seen(r, jobs=None):
-    return jobs
+def _left_calling_thread(r):
+    """Whether a default ``thread_map`` ran any item off the calling thread."""
+    idents = thread_map(lambda i: (time.sleep(0.01), threading.get_ident())[1], range(4))
+    return set(idents) != {threading.get_ident()}
 
 
 class TestRunReplicates:
     def test_worker_processes_analyse_on_one_thread(self):
-        assert _run_replicates(_jobs_seen, 2, 2) == [1, 1]
+        assert _run_replicates(_left_calling_thread, 2, 2) == [False, False]
 
     def test_in_process_keeps_default_threads(self):
-        assert _run_replicates(_jobs_seen, 2, 1) == [None, None]
-        assert _run_replicates(_jobs_seen, 1, 2) == [None]
+        threaded = min(DEFAULT_THREADS, available_cores()) > 1
+        assert _run_replicates(_left_calling_thread, 2, 1) == [threaded, threaded]
+        assert _run_replicates(_left_calling_thread, 1, 2) == [threaded]
 
 
 class TestSimulate:
@@ -125,6 +130,47 @@ class TestSimulate:
         assert lines[0] == "c,gamma,rep,discovered_count"
         assert len(lines) == 1 + 2 * 2 * 2
         assert _sha(tmp_path / "s1.csv") == _sha(tmp_path / "s2.csv")
+
+
+class TestReplicatePins:
+    """Whole-command digests of the replicate layer: the bench and simulate
+    process pools and the theory-check draws.  Each takes under a second."""
+
+    BENCH = "2e5d26bf66674da1d86a1f9b53a09f576b18e7e8076e3bbb62fb8cc1166aa611"
+    SIMULATE = "6634edec2bd5e3f084d4bbf3410f4178e6fdc53fe11b4dd95bd0db86d28c520b"
+    VERIFY = {
+        ("norm-exception", "200", "3"): {
+            "norm-exception.json": "b25e8ae5f74f7f4c4c2f0ba82f9b5f190177467edb9e14a1787e19ab6c1920bf",
+        },
+        ("marginalizability", "300", "6"): {
+            "marginalizability_gaussian.json": "140daf597ea2bd9a420c703aa1c88ecdd766a8fbd1c02a5230a2a1934ba10052",
+            "marginalizability_uniform.json": "6f5462be93e5e5e6ac7e0e1aca4b7afbab8f1cb69853cb7bd8b40a89b4ecf3d1",
+        },
+        ("gamma-exception", "300", "6"): {
+            "gamma-exception.json": "c353ee5e3a7026a802f3dc3b64309555676b7ddae4019ec554d7aaae843126b9",
+        },
+    }
+
+    def test_bench_same_at_one_and_two_workers(self, tmp_path):
+        digests = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"b{jobs}.csv"
+            argv = ["bench", "--benchmark", "3", "--reps", "3", "--n", "200", "--seed", "3", "--jobs", jobs]
+            assert main(argv + ["--out", str(out)]) == 0
+            digests.append(_sha(out))
+        assert digests == [self.BENCH, self.BENCH]
+
+    def test_simulate_on_two_workers(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--grid", "c:0:0.5", "gamma:0:1", "--steps", "2", "2", "--reps", "2", "--n", "150"]
+        assert main(argv + ["--seed", "5", "--jobs", "2", "--out", str(out)]) == 0
+        assert _sha(out) == self.SIMULATE
+
+    @pytest.mark.parametrize("check, n, reps", list(VERIFY))
+    def test_verify_reports(self, tmp_path, check, n, reps):
+        out = tmp_path / "v"
+        main(["verify", "--check", check, "--seed", "4", "--n", n, "--reps", reps, "--out", str(out)])
+        assert {name: _sha(out / name) for name in os.listdir(out)} == self.VERIFY[(check, n, reps)]
 
 
 class TestSpearmanRho:

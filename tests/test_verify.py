@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from cause_sieve import seeding
+from cause_sieve.discover import bench_replicates
 from cause_sieve.errors import BadParam
+from cause_sieve.model import FunctionClass
+from cause_sieve.synth import gen_benchmark1
 from cause_sieve.verify import (
     _local_minima,
     affine_equality_distance,
@@ -50,14 +53,6 @@ class TestEqualityDistance:
                     expected[i, j] = all(surface[i, j] <= v for v in nbs) and any(surface[i, j] < v for v in nbs)
             np.testing.assert_array_equal(_local_minima(surface), expected)
 
-    def test_grid_step_precondition(self):
-        from cause_sieve.verify import check_dist_equality
-
-        with pytest.raises(BadParam):
-            check_dist_equality(grid_a=(-4.0, 4.0, 0.2))
-        with pytest.raises(BadParam):
-            check_dist_equality(dist="weibull")
-
 
 class TestCoolLemma:
     def test_part_two_small_run(self):
@@ -75,10 +70,6 @@ class TestGammaException:
         r = check_gamma_support_exception(n=800, n_reps=10, seed=1)
         assert r.payload["rejection_rate"] <= 0.2
         assert r.payload["control_rejection_rate"] >= 0.8
-
-    def test_bad_params(self):
-        with pytest.raises(BadParam):
-            check_gamma_support_exception(k1=0.0)
 
 
 class TestNormException:
@@ -109,3 +100,19 @@ class TestMarginalizability:
         doc = json.loads(path.read_text())
         assert list(doc.keys()) == ["check_id", "seed", "n_reps", "n_samples", "pass", "payload"]
         assert doc["check_id"] == "marginalizability:gaussian"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: bench_replicates(gen_benchmark1, FunctionClass("additive"), 0, n=100, seed=0),
+        lambda: check_cool_lemma(1, n=100, n_reps=0),
+        lambda: check_gamma_support_exception(n=100, n_reps=0),
+        lambda: check_norm_exception(n=100, n_reps=0),
+        lambda: check_marginalizability("gaussian", n=100, n_reps=0),
+    ],
+    ids=["bench_replicates", "cool_lemma", "gamma_exception", "norm_exception", "marginalizability"],
+)
+def test_zero_replicates_rejected(run):
+    with pytest.raises(BadParam, match="at least 1"):
+        run()
