@@ -47,7 +47,7 @@ def _default_seed() -> int:
             return int(raw)
         except ValueError:
             raise ValidationError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
-    return 0
+    return DiscoveryConfig.seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="linear | additive | location-scale | cpcm:gaussian | cpcm:gamma | cpcm:pareto",
     )
     p.add_argument("--mode", choices=("isd", "score", "both"), default="both")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=DiscoveryConfig.alpha)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="discovery_result.json", help="path for the result JSON")
 

@@ -176,9 +176,10 @@ def load_csv(path, target_name: str) -> Dataset:
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         rows = []
-        for r, record in enumerate(reader):
+        for record in reader:
             if not record:
                 continue
+            r = len(rows)  # the table row, as validate_dataset counts it: blank lines skipped
             if len(record) != len(header):
                 raise ValidationError(f"{path}: row {r} has {len(record)} fields, expected {len(header)}")
             parsed = []

@@ -21,14 +21,16 @@ cross-validation); those classes restrict the noise to be additive, not the
 mean to be additive across covariates, so the smoother must represent
 interactions, and it must track the surface closely enough that the
 independence test sees only noise.  A model builds one (n, n) kernel,
-``_thin_plate`` of the summed ``_squared_differences``, and fits each of
-its splines on it (two for the location-scale class); the CV and the
+``_thin_plate`` of ``stattests.squared_differences``, and fits each of its
+splines on it (two for the location-scale class); the CV and the
 permutation losses use that kernel's coefficient layout, and the
-permutation pieces are the same per-column squared differences, unsummed.
-Each spline solves the saddle system [[K + lambda I, P], [P', 0]] (Wahba
-1990).  The parametric class uses the location-scale fit for the Gaussian
-family and kernel-local maximum likelihood or moment matching with
-Silverman bandwidths for the Pareto and Gamma families.
+permutation pieces are the same squared differences, unsummed
+(``stattests.column_pieces``).  Each spline solves the saddle system
+[[K + lambda I, P], [P', 0]] (Wahba 1990).  The parametric class uses the
+location-scale fit for the Gaussian family and kernel-local maximum
+likelihood or moment matching with Silverman bandwidths for the Pareto and
+Gamma families, whose kernel weights are ``stattests.gaussian_log_kernel``
+exponentiated.
 
 The Gamma CDF is ``scipy.special.gammainc(shape, y / scale)`` and the
 linear slopes' t tail is ``scipy.special.stdtr(dof, -|t|)``: the functions
@@ -86,26 +88,6 @@ def _thin_plate(r2: np.ndarray) -> np.ndarray:
     r2 *= log
     r2 *= 0.5
     return r2
-
-
-def _squared_differences(a: np.ndarray, b: np.ndarray, *, summed: bool) -> np.ndarray:
-    """The squared differences of the rows of ``a`` to the rows of ``b``,
-    one (m, P) array per column: the (d, m, P) stack of them, or if
-    ``summed`` their sum, the squared distances r^2.
-
-    The sum adds the columns in column order, one at a time and in place,
-    as scipy's ``cdist(a, b, "sqeuclidean")`` does, so it never holds more
-    than two (m, P) arrays."""
-    d, m, n_centres = a.shape[1], a.shape[0], b.shape[0]
-    pieces = np.empty((1 if summed else d, m, n_centres))
-    buf = np.empty((m, n_centres)) if summed and d > 1 else None
-    for j in range(d):
-        piece = buf if summed and j else pieces[0 if summed else j]
-        np.subtract.outer(a[:, j], b[:, j], out=piece)
-        np.square(piece, out=piece)
-        if summed and j:
-            pieces[0] += piece
-    return pieces[0] if summed else pieces
 
 
 def _spline_values(kernel: np.ndarray, xn: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -173,7 +155,7 @@ class _MeanSmoother(_Model):
         self.x_scale = np.std(x, axis=0)
         self.x_scale[self.x_scale == 0] = 1.0
         self.centres = x / self.x_scale
-        self._fit(_thin_plate(_squared_differences(self.centres, self.centres, summed=True)), y)
+        self._fit(_thin_plate(stattests.squared_differences(self.centres, self.centres)), y)
 
     def _fit(self, kernel: np.ndarray, y: np.ndarray) -> None:
         self.splines = (_Spline(kernel, self.centres, y),)
@@ -199,7 +181,7 @@ class _MeanSmoother(_Model):
             xp[:, pos] = xn[perm, pos]
             return self.prediction_loss(_spline_values(_thin_plate(r2), xp, coeffs), y)
 
-        return _squared_differences(xn, self.centres, summed=False), loss
+        return stattests.column_pieces(xn, self.centres), loss
 
 
 # E[log eps^2] for standard normal eps: psi(1/2) + log 2.  The smoother of
@@ -295,14 +277,6 @@ class _KernelLocalModel(_Model):
         d = x.shape[1]
         self.bandwidths = CPCM_BANDWIDTH_SCALE * np.array([_silverman(x[:, j], d) for j in range(d)])
 
-    def log_factors(self, x_ev: np.ndarray) -> np.ndarray:
-        """(d, m, n) array of per-column Gaussian log-kernels."""
-        x_tr, hs = self.x_train, self.bandwidths
-        out = np.empty((x_tr.shape[1], x_ev.shape[0], x_tr.shape[0]))
-        for j in range(x_tr.shape[1]):
-            stattests.gaussian_log_kernel(x_ev[:, j : j + 1], x_tr[:, j : j + 1], hs[j : j + 1], out=out[j])
-        return out
-
     @staticmethod
     def _weight_sums(w: np.ndarray) -> np.ndarray:
         """Row sums of the kernel weights; ``DegenerateTheta`` if one underflows."""
@@ -312,13 +286,9 @@ class _KernelLocalModel(_Model):
         return sw
 
     def theta(self, x_ev: np.ndarray):
-        """Local parameters at the evaluation points (see ``_local_params``).
-
-        The per-column log-kernels are summed into one (m, n) array in
-        column order, the order ``log_factors(x_ev).sum(axis=0)`` adds them,
-        and exponentiated in place.  Each further column is added in row
-        blocks, so that array is the only one of its size.
-        """
+        """Local parameters at the evaluation points (see ``_local_params``)
+        from the Gaussian log-kernel to the training rows, one (m, n) array
+        exponentiated in place."""
         logw = stattests.gaussian_log_kernel(x_ev, self.x_train, self.bandwidths)
         return self._local_params(np.exp(logw, out=logw))
 
@@ -330,13 +300,13 @@ class _KernelLocalModel(_Model):
         return eps, eps, fit_loss
 
     def permutation_pieces(self, x: np.ndarray, y: np.ndarray):
-        """The per-column log-kernels ``log_factors(x)`` and the loss of one
-        sum, which is exponentiated in place."""
+        """The per-column Gaussian log-kernels to the training rows and the
+        loss of one sum, which is exponentiated in place."""
 
         def loss(logw: np.ndarray, pos: int, perm: np.ndarray) -> float:
             return self.nll(np.exp(logw, out=logw), y)
 
-        return self.log_factors(x), loss
+        return stattests.column_pieces(x, self.x_train, stattests.gaussian_denoms(self.bandwidths)), loss
 
 
 class _ParetoLocalModel(_KernelLocalModel):

@@ -1,5 +1,7 @@
 """Statistical tests: HSIC independence, uniformity, permutation significance,
-and the Gaussian log-kernel that HSIC and the kernel-local fits share.
+and the kernel layer under them and under the fits in ``regress``: one
+builder of per-column pairwise squared differences, which with the
+denominators -2 h^2 is the Gaussian log-kernel.
 
 The HSIC statistic is the biased V-statistic with Gaussian RBF kernels,
 reported on the n*HSIC scale.  The kernel on a multi-column block is the
@@ -9,7 +11,6 @@ heuristic.  P-values come from the Gamma moment-matching approximation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,7 @@ from scipy.special import gammaincc
 
 from . import seeding
 from .errors import BadParam, ConstantInput, OutOfRange, TooFewRows
-from .model import CandidateSet, Dataset
+from .model import MIN_ROWS, CandidateSet, Dataset
 
 LOG_P_FLOOR = np.log(1e-12)
 SIG_PERMUTATIONS = 99  # permutations per covariate in the significance test
@@ -50,16 +51,15 @@ def _median_bandwidth(col: np.ndarray) -> float:
     exactly for a tied pair, so row i's non-zero distances start at the
     end of s[i]'s tie group.
 
-    Each row keeps a bracket [lo_i, hi_i) that holds every candidate for
-    the two middle ranks.  A round cuts the brackets at the pivots of
-    :func:`_sample_pivots`; a round that does not halve the candidates is
-    followed by one at the weighted median of the row middles, and two such
-    rounds cut at least a quarter of them, ties or not, so the number of
-    rounds depends on n alone.  A pivot whose count falls between the two
-    middle ranks gives the result at once, and so does one at whose value
-    both ranks sit (heavy ties), seen by counting again just below it.
-    Once at most 2n candidates remain they are formed and the middle ranks
-    partitioned out.
+    Both middle ranks lie in (t_lo, t_hi], at first the float just below
+    the smallest distance and the largest one, and each row keeps the
+    bracket [lo_i, hi_i) of its distances there.  A cut bisects the IEEE
+    bit patterns of t_lo and t_hi, which sort like the non-negative floats
+    they encode, so at most 64 cuts leave t_lo and t_hi adjacent; every
+    candidate left is then t_hi, ties or not.  A cut whose count falls
+    between the two middle ranks gives the result at once.  Once at most
+    2n candidates remain they are formed and the middle ranks partitioned
+    out.
     """
     s = np.sort(col)
     n = s.size
@@ -70,30 +70,22 @@ def _median_bandwidth(col: np.ndarray) -> float:
     k1, k2 = (total - 1) // 2, total // 2  # the middle ranks np.median averages
     lo, hi = start, np.full(n, n)
     below, upto = 0, total  # distances before lo and before hi, summed over rows
-    sample = True
+    gaps = np.diff(s)  # the smallest positive gap is the smallest non-zero distance
+    bits_lo, bits_hi = int(np.min(gaps[gaps > 0]).view(np.int64)) - 1, int(np.float64(s[-1] - s[0]).view(np.int64))
     while upto - below > 2 * n:
-        left = upto - below
-        pivots = _sample_pivots(s, lo, hi, k1 - below, k2 - below) if sample else [_weighted_middle(s, lo, hi)]
-        for t in pivots:
-            b, count = _cut(s, start, t)
-            if count > k2 and count == upto:
-                # t cut nothing, so it is the largest candidate left: count
-                # just below it to see whether both middle ranks sit on t
-                b, count = _cut(s, start, np.nextafter(t, -np.inf))
-                if count <= k1:
-                    return _median_of(t, t, k1 == k2)
-            if count <= k1:
-                if count > below:
-                    lo, below = b, count
-            elif count > k2:
-                if count < upto:
-                    hi, upto = b, count
-            else:  # count == k2 == k1 + 1: t splits the two middle ranks
-                has_below, has_above = b > start, b < n
-                v1 = np.max(s[b[has_below] - 1] - s[has_below])
-                v2 = np.min(s[b[has_above]] - s[has_above])
-                return _median_of(v1, v2, False)
-        sample = upto - below <= left // 2
+        if bits_hi - bits_lo == 1:
+            return float(np.int64(bits_hi).view(np.float64))
+        bits = (bits_lo + bits_hi) // 2
+        b, count = _cut(s, start, np.int64(bits).view(np.float64))
+        if count <= k1:
+            lo, below, bits_lo = b, count, bits
+        elif count > k2:
+            hi, upto, bits_hi = b, count, bits
+        else:  # count == k2 == k1 + 1: t splits the two middle ranks
+            has_below, has_above = b > start, b < n
+            v1 = np.max(s[b[has_below] - 1] - s[has_below])
+            v2 = np.min(s[b[has_above]] - s[has_above])
+            return _median_of(v1, v2, False)
     width = hi - lo
     rows = np.repeat(np.arange(n), width)
     d = s[np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(upto - below)]
@@ -130,69 +122,54 @@ def _cut(s: np.ndarray, start: np.ndarray, t) -> tuple[np.ndarray, int]:
     return b, int((b - start).sum())
 
 
-def _sample_pivots(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, r1: int, r2: int) -> np.ndarray:
-    """Pivots for the ranks r1 <= r2 of the candidates left in the brackets
-    [lo_i, hi_i), in increasing order.
-
-    m <= 2n candidates are read at evenly spaced places of the brackets
-    laid end to end.  The pivots are the sample's order statistics sqrt(m)
-    places below r1 and above r2, scaled to the sample, so that most
-    rounds keep the wanted ranks between them; one that would fall outside
-    the sample is left out."""
-    cum = np.cumsum(hi - lo)
-    left = int(cum[-1])
-    m = min(left, 2 * s.size)
-    pos = (2 * np.arange(m) + 1) * left // (2 * m)
-    row = np.searchsorted(cum, pos, side="right")
-    v = s[hi[row] - (cum[row] - pos)] - s[row]
-    spread = math.isqrt(m)
-    ranks = [q for q in (r1 * m // left - spread, -(-r2 * m // left) + spread) if 0 <= q < m]
-    if ranks:
-        v.partition(ranks)
-    return v[ranks]
+_KERNEL_BLOCK_ROWS = 128  # rows per block when a further column joins the sum
 
 
-def _weighted_middle(s: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The weighted median of the middle candidates of the non-empty
-    brackets, each weighted by its bracket's size: at least a quarter of
-    the candidates lie at or below it, and at least a quarter at or above."""
-    width = hi - lo
-    live = np.flatnonzero(width)
-    w = width[live]
-    middle = s[lo[live] + w // 2] - s[live]
-    order = np.argsort(middle)
-    cw = np.cumsum(w[order])
-    return middle[order[np.searchsorted(cw, cw[-1] / 2)]]
+def squared_differences(a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarray | None = None) -> np.ndarray:
+    """(m, n) sum over the columns j of (a_ij - b_kj)^2 between the rows of
+    ``a`` (m, d) and ``b`` (n, d), each column's squares divided by
+    ``denoms[j]`` when given.
+
+    The columns are added in order, as scipy's ``cdist(a, b,
+    "sqeuclidean")`` adds them.  The first is built in ``out`` (a new array
+    when None); each further column is added block by block of rows, so no
+    second (m, n) array exists.
+    """
+    m = a.shape[0]
+    if out is None:
+        out = np.empty((m, b.shape[0]))
+    for j in range(a.shape[1]):
+        step = _KERNEL_BLOCK_ROWS if j else max(m, 1)
+        for lo in range(0, m, step):
+            d = np.subtract.outer(a[lo : lo + step, j], b[:, j], out=None if j else out)
+            np.multiply(d, d, out=d)
+            if denoms is not None:
+                d /= denoms[j]
+            if j:
+                out[lo : lo + step] += d
+    return out
 
 
-_KERNEL_BLOCK_ROWS = 128  # rows per block when a further column joins the exponent
+def column_pieces(a: np.ndarray, b: np.ndarray, denoms=None) -> np.ndarray:
+    """The (d, m, n) stack of the columns that :func:`squared_differences`
+    sums, each built as that function builds it."""
+    pieces = np.empty((a.shape[1], a.shape[0], b.shape[0]))
+    for j in range(a.shape[1]):
+        squared_differences(a[:, j : j + 1], b[:, j : j + 1], None if denoms is None else denoms[j : j + 1], pieces[j])
+    return pieces
+
+
+def gaussian_denoms(hs) -> list[float]:
+    """-2 h^2 per bandwidth h: the denominators that make squared differences
+    the Gaussian log-kernel (dividing by the negated denominator gives the
+    same floats as negating first)."""
+    return [-(2.0 * h * h) for h in hs]
 
 
 def gaussian_log_kernel(a: np.ndarray, b: np.ndarray, hs, out: np.ndarray | None = None) -> np.ndarray:
     """(m, n) Gaussian log-kernel between the rows of ``a`` (m, d) and ``b``
-    (n, d): the sum over columns j of -(a_ij - b_kj)^2 / (2 hs[j]^2).
-
-    The columns are added in order.  The first is built in ``out`` (a new
-    array when None); each further column is added block by block of
-    rows, so no second (m, n) array exists.  Dividing by the negated
-    denominator gives the same floats as negating first.
-    """
-    if out is None:
-        out = np.empty((a.shape[0], b.shape[0]))
-    for j, h in enumerate(hs):
-        col_a, col_b = a[:, j], b[:, j]
-        denom = -(2.0 * h * h)
-        if j == 0:
-            np.subtract(col_a[:, None], col_b[None, :], out=out)
-            np.multiply(out, out, out=out)
-            out /= denom
-            continue
-        for lo in range(0, out.shape[0], _KERNEL_BLOCK_ROWS):
-            d = col_a[lo : lo + _KERNEL_BLOCK_ROWS, None] - col_b[None, :]
-            np.multiply(d, d, out=d)
-            d /= denom
-            out[lo : lo + _KERNEL_BLOCK_ROWS] += d
-    return out
+    (n, d): the sum over columns j of -(a_ij - b_kj)^2 / (2 hs[j]^2)."""
+    return squared_differences(a, b, gaussian_denoms(hs), out)
 
 
 def _product_rbf_kernel(x: np.ndarray) -> np.ndarray:
@@ -257,8 +234,8 @@ def hsic_tests(x, es) -> list[TestResult]:
     for e in es:
         if e.size != n:
             raise BadParam(f"x has {n} rows but e has {e.size}")
-    if n < 20:
-        raise TooFewRows(f"hsic_test needs n >= 20, got {n}")
+    if n < MIN_ROWS:
+        raise TooFewRows(f"hsic_test needs n >= {MIN_ROWS}, got {n}")
     for e in es:
         if not np.all(np.isfinite(e)):
             raise BadParam("noise vector has a non-finite value")

@@ -201,3 +201,16 @@ class TestCsvRoundTrip:
         path.write_text("Y,X\n1.0,2.0\n1.0,oops\n")
         with pytest.raises(NonFiniteEntry):
             load_csv(path, "Y")
+
+    @pytest.mark.parametrize("cell", ["oops", "nan"])
+    def test_bad_cell_row_skips_blank_lines(self, tmp_path, cell):
+        # a non-numeric cell and a nan at the same place report the same
+        # table row, which does not count the blank line above it
+        lines = ["Y,X"] + [f"{i}.0,{i % 7}.5" for i in range(25)]
+        lines[4] = f"3.0,{cell}"
+        lines.insert(2, "")
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteEntry) as err:
+            load_csv(path, "Y")
+        assert (err.value.row, err.value.col) == (3, 1)

@@ -10,7 +10,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 from scipy.stats import t as student_t
 
-from cause_sieve import regress, seeding
+from cause_sieve import regress, seeding, stattests
 from cause_sieve.errors import BadParam, DomainViolation, RankDeficient, StatError
 from cause_sieve.model import CLASS_CODES, CandidateSet, FunctionClass, enumerate_candidates
 from cause_sieve.regress import (
@@ -184,13 +184,13 @@ class TestFitLocationScale:
     def test_fit_builds_one_kernel(self, monkeypatch):
         # the mean and log-variance splines share the one (n, n) kernel
         calls = []
-        squared_differences = regress._squared_differences
+        squared_differences = stattests.squared_differences
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return squared_differences(*args, **kwargs)
 
-        monkeypatch.setattr(regress, "_squared_differences", counting)
+        monkeypatch.setattr(stattests, "squared_differences", counting)
         rng = seeding.substream(6, 904)
         x = rng.standard_normal((200, 3))
         _LocationScaleModel(x, np.sin(x[:, 0]) + rng.standard_normal(200))
@@ -234,7 +234,8 @@ class TestFitCpcm:
         y = (1.0 - rng.random(200)) ** -0.5 if family == "pareto" else rng.gamma(2.0, 1.0 + x[:, 0] ** 2)
         model = MODELS[("cpcm", family)](x[:100], y[:100])
         for x_ev in (x[:100], x[100:]):
-            expected = model._local_params(np.exp(model.log_factors(x_ev).sum(axis=0)))
+            factors = stattests.column_pieces(x_ev, model.x_train, stattests.gaussian_denoms(model.bandwidths))
+            expected = model._local_params(np.exp(factors.sum(axis=0)))
             np.testing.assert_array_equal(model.theta(x_ev), expected)
 
     def test_theta_holds_one_kernel_array(self):
@@ -314,8 +315,8 @@ class TestScipyEquivalence:
             b = rng.standard_normal((n + 5, d))
             for u, v in ((a, a), (a, b)):
                 expected = cdist(u, v, "sqeuclidean")
-                np.testing.assert_array_equal(regress._squared_differences(u, v, summed=True), expected)
-                pieces = regress._squared_differences(u, v, summed=False)
+                np.testing.assert_array_equal(stattests.squared_differences(u, v), expected)
+                pieces = stattests.column_pieces(u, v)
                 np.testing.assert_array_equal(pieces, np.square(u.T[:, :, None] - v.T[:, None, :]))
 
     def test_gamma_transform_is_gamma_cdf(self):

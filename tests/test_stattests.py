@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from cause_sieve import seeding
+from cause_sieve import seeding, stattests
 from cause_sieve.errors import BadParam, ConstantInput, OutOfRange, TooFewRows
 from cause_sieve.model import CandidateSet
 from cause_sieve.regress import _MeanSmoother
@@ -234,6 +234,24 @@ class TestMedianBandwidth:
     def test_constant_column_rejected(self):
         with pytest.raises(ConstantInput):
             _median_bandwidth(np.full(40, 2.5))
+
+    def test_at_most_64_cuts(self, monkeypatch):
+        # each cut halves the bit-pattern interval of t, so the selection
+        # ends within 64 cuts, ties or not; tied columns need the most
+        cut, calls = stattests._cut, []
+
+        def counting(*args):
+            calls.append(args)
+            return cut(*args)
+
+        monkeypatch.setattr(stattests, "_cut", counting)
+        counts = {}
+        for name, col in _median_corpus(2000, seeding.substream(2000, 925)).items():
+            calls.clear()
+            _median_bandwidth(col)
+            counts[name] = len(calls)
+        assert max(counts.values()) <= 64, counts
+        assert max(counts.values()) > 32  # some column runs the bisection down to adjacent floats
 
     def test_memory_is_linear_in_n(self):
         # the n(n-1)/2 distances are never formed
