@@ -2,9 +2,22 @@
 
 Each unit seeds its own substreams (see :mod:`seeding`), so the results do
 not depend on how many threads run them or in which order they finish.
-Threads, not processes: most thin-plate-spline work (numpy ufuncs, BLAS
-products and LAPACK solves) and the other large numpy ufuncs release the
-interpreter lock, and threads share the table instead of pickling it.
+Threads, not processes: threads share the table instead of pickling it,
+but they overlap only where the work releases the interpreter lock, and
+not all of it does.  Measured on 2 vCPUs with one BLAS thread, two threads
+against one:
+
+- numpy ufuncs on whole arrays, ``np.take`` and ``np.dot`` release it; the
+  matrix-vector ``@`` does not (x1.0 at 250 x 250, where ``np.dot`` gives
+  x1.4 and the same bits).  The permuted losses of
+  ``stattests.perm_significance``, most of a spline candidate's time, are
+  written from such calls and scored in batches: the significance test of
+  two four-member candidates runs x1.5 faster on two threads than in
+  turn, and x1.1-1.2 when each permutation is scored alone, its two dozen
+  small calls each taking the lock back;
+- scipy's LAPACK ``dgesv``, the spline solve, holds it: at n = 500 two
+  threads give x0.9 where two processes give x1.9, and ``np.linalg.solve``
+  does no better.
 
 Parallelism stays one level deep.  A :func:`thread_map` given no thread
 count runs in order on the calling thread when it is already inside a

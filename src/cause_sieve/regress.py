@@ -7,13 +7,18 @@ the (0,1) scale with its residuals and fit loss; ``significance_p(data, s,
 seed)`` gives one p-value per member of ``s``: held-out permutation
 significance, or the linear slopes' t-tests.  ``stattests.perm_significance``
 refits the class and reads its ``permutation_pieces(x, y)``; that function's
-docstring states the protocol.  ``smoother`` says whether
-``SMOOTHER_DIM_CAP`` bounds ``|s|`` (all but linear); ``check_support(y)``
-raises ``DomainViolation`` outside the family's support (Pareto y >= 1,
-Gamma y > 0); ``parametric`` marks the cpcm families, the only ones whose
-noise distribution is testable and so asked the uniformity question, and
-each has ``marginal_noise(y)``: the transform under constant parameters
-fitted to the marginal of y.
+docstring states the protocol.  Its losses score a batch: a (B, m, P) stack
+of summed pieces and B permutations give B losses, each the float its slice
+gives alone, since elementwise work and reductions over the last axis do
+not mix slices and every matrix product is one ``np.dot`` per slice
+(``_slice_dot``).  The losses use ``np.dot``, not ``@``, because the matrix-
+vector ``@`` holds the interpreter lock; the fits keep ``@``.  ``smoother``
+says whether ``SMOOTHER_DIM_CAP`` bounds ``|s|`` (all but linear);
+``check_support(y)`` raises ``DomainViolation`` outside the family's
+support (Pareto y >= 1, Gamma y > 0); ``parametric`` marks the cpcm
+families, the only ones whose noise distribution is testable and so asked
+the uniformity question, and each has ``marginal_noise(y)``: the transform
+under constant parameters fitted to the marginal of y.
 
 The additive and location-scale classes estimate conditional means with
 penalized thin-plate-spline smoothing (penalty chosen by two-fold
@@ -79,21 +84,42 @@ class _Model:
 # --------------------------------------------------------------------- #
 
 
+def _r2_log_r2(r2: np.ndarray, log: np.ndarray | None = None, floor: bool = True) -> np.ndarray:
+    """r^2 log r^2 of the squared distances r2, written over r2, with the log
+    in ``log`` when given; 0 at r = 0, since r2 is raised to the smallest
+    normal float for the log.  ``floor=False`` skips that pass, which changes
+    no value when r2 has none below it."""
+    log = np.log(np.maximum(r2, _TINY, out=log) if floor else r2, out=log)
+    r2 *= log
+    return r2
+
+
 def _thin_plate(r2: np.ndarray) -> np.ndarray:
     """The thin-plate kernel 1/2 r^2 log r^2 of the squared distances r2,
-    written over r2; 0 at r = 0 (r2 is raised to the smallest normal float
-    for the log)."""
-    log = np.maximum(r2, _TINY)
-    np.log(log, out=log)
-    r2 *= log
+    written over r2 (see ``_r2_log_r2``)."""
+    r2 = _r2_log_r2(r2)
     r2 *= 0.5
     return r2
 
 
+def _slice_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` for a 2-D ``a``; for a (B, m, n) stack, the B products of its
+    slices by ``np.dot``, one BLAS call each, so a slice's values are the
+    bits ``a[b] @ v`` gives (OpenBLAS rounds a row by its place in the
+    block)."""
+    if a.ndim == 2:
+        return a @ v
+    out = np.empty(a.shape[:-1] + v.shape[1:])
+    for b in range(a.shape[0]):
+        np.dot(a[b], v, out=out[b])
+    return out
+
+
 def _spline_values(kernel: np.ndarray, xn: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Spline values at rows ``xn`` with (m, P) ``kernel`` to the P centres."""
-    n_centres = kernel.shape[1]
-    return kernel @ coeffs[:n_centres] + (coeffs[n_centres] + xn @ coeffs[n_centres + 1 :])
+    """Spline values at rows ``xn`` with (m, P) ``kernel`` to the P centres,
+    or at a (B, m, d) stack of rows with a (B, m, P) stack of kernels."""
+    n_centres = kernel.shape[-1]
+    return _slice_dot(kernel, coeffs[:n_centres]) + (coeffs[n_centres] + _slice_dot(xn, coeffs[n_centres + 1 :]))
 
 
 def _solve_spline(kernel: np.ndarray, xn: np.ndarray, yn: np.ndarray, penalty: float) -> np.ndarray:
@@ -162,26 +188,44 @@ class _MeanSmoother(_Model):
         self.fitted = self.splines[0].fitted
 
     @staticmethod
-    def prediction_loss(values: np.ndarray, y: np.ndarray) -> float:
-        """Mean squared error of the predictions ``values[:, 0]``."""
-        return float(np.mean((y - values[:, 0]) ** 2))
+    def prediction_loss(values: np.ndarray, y: np.ndarray):
+        """Mean squared error of the predictions ``values[..., 0]``, one per
+        (m, k) slice of ``values``."""
+        return np.mean((y - values[..., 0]) ** 2, axis=-1)
 
     def permutation_pieces(self, x: np.ndarray, y: np.ndarray):
         """The (d, m, P) per-column squared differences to the P centres,
-        which sum to the squared distances r^2, and the loss of one sum.
+        which sum to the squared distances r^2, and the losses of a stack of
+        sums.
 
-        The loss overwrites r^2 with its ``_thin_plate`` kernel, which
-        serves every spline; in the polynomial block [1, xn] it reorders
-        column ``pos`` by ``perm``."""
+        The loss overwrites r^2 with ``_r2_log_r2``, the ``_thin_plate``
+        kernel without its 1/2, which serves every spline; the 1/2 goes into
+        the centres' coefficients instead, and halving is exact.  The log is
+        written into a scratch stack of this model's own, allocated once.
+        The floor of r^2 is taken only when every column's piece has a value
+        below it: a sum of non-negative pieces falls there only where each of
+        them does.  Leaving out the halving pass and, on untied rows, the
+        floor pass makes ``analyze`` of an n = 500 additive table about 8%
+        faster (2 vCPUs).  In the polynomial
+        block [1, xn], slice b reorders column ``pos`` by ``perms[b]``."""
         xn = x / self.x_scale
+        n_centres = self.centres.shape[0]
         coeffs = np.column_stack([s.coeffs for s in self.splines])
+        coeffs[:n_centres] *= 0.5
+        pieces = stattests.column_pieces(xn, self.centres)
+        floor = all(np.min(piece) < _TINY for piece in pieces)
+        scratch = np.empty((0,) + pieces.shape[1:])
 
-        def loss(r2: np.ndarray, pos: int, perm: np.ndarray) -> float:
-            xp = xn.copy()
-            xp[:, pos] = xn[perm, pos]
-            return self.prediction_loss(_spline_values(_thin_plate(r2), xp, coeffs), y)
+        def loss(r2: np.ndarray, pos: int, perms: np.ndarray) -> np.ndarray:
+            nonlocal scratch
+            if scratch.shape[0] < r2.shape[0]:
+                scratch = np.empty_like(r2)
+            r2 = _r2_log_r2(r2, scratch[: r2.shape[0]], floor)
+            xp = np.repeat(xn[None], len(perms), axis=0)
+            xp[:, :, pos] = xn[perms, pos]
+            return self.prediction_loss(_spline_values(r2, xp, coeffs), y)
 
-        return stattests.column_pieces(xn, self.centres), loss
+        return pieces, loss
 
 
 # E[log eps^2] for standard normal eps: psi(1/2) + log 2.  The smoother of
@@ -216,12 +260,13 @@ class _LocationScaleModel(_MeanSmoother):
         z, fit_loss = self._standardized(y)
         return pit_rescale(z), z, fit_loss
 
-    def prediction_loss(self, values: np.ndarray, y: np.ndarray) -> float:
-        """Gaussian deviance of the predicted mean ``values[:, 0]`` and log
-        variance ``values[:, 1]``; permuting a column moves both."""
-        sigma = self._sigma_from_logvar(values[:, 1])  # log-chi2 corrected
-        z = (y - values[:, 0]) / sigma
-        return float(np.mean(np.log(sigma) + 0.5 * z * z))
+    def prediction_loss(self, values: np.ndarray, y: np.ndarray):
+        """Gaussian deviance of the predicted mean ``values[..., 0]`` and log
+        variance ``values[..., 1]``, one per (m, 2) slice; permuting a column
+        moves both."""
+        sigma = self._sigma_from_logvar(values[..., 1])  # log-chi2 corrected
+        z = (y - values[..., 0]) / sigma
+        return np.mean(np.log(sigma) + 0.5 * z * z, axis=-1)
 
 
 class _GaussianCpcmModel(_LocationScaleModel):
@@ -262,8 +307,9 @@ class _KernelLocalModel(_Model):
     """Kernel-weighted local parameter estimates of a parametric family.
 
     A family subclass supplies ``_local_params(w)``, the parameters from the
-    (m, n) kernel weights of m evaluation points; ``nll(w, y)``, the mean
-    negative log-likelihood under them; and ``_transform(y, params)``, the
+    (m, n) kernel weights of m evaluation points, or from a (B, m, n) stack
+    of them; ``nll(w, y)``, the mean negative log-likelihood under them, one
+    per (m, n) slice; and ``_transform(y, params)``, the
     noise F(y; theta(x)) with the fit loss.  The transform is NOT rank
     rescaled: only the parametric class carries distributional content, and
     the uniformity question has to see it.
@@ -280,7 +326,7 @@ class _KernelLocalModel(_Model):
     @staticmethod
     def _weight_sums(w: np.ndarray) -> np.ndarray:
         """Row sums of the kernel weights; ``DegenerateTheta`` if one underflows."""
-        sw = w.sum(axis=1)
+        sw = w.sum(axis=-1)
         if np.any(sw <= _TINY):
             raise DegenerateTheta("kernel weights underflow away from the data")
         return sw
@@ -301,9 +347,9 @@ class _KernelLocalModel(_Model):
 
     def permutation_pieces(self, x: np.ndarray, y: np.ndarray):
         """The per-column Gaussian log-kernels to the training rows and the
-        loss of one sum, which is exponentiated in place."""
+        losses of a stack of sums, which is exponentiated in place."""
 
-        def loss(logw: np.ndarray, pos: int, perm: np.ndarray) -> float:
+        def loss(logw: np.ndarray, pos: int, perms: np.ndarray) -> np.ndarray:
             return self.nll(np.exp(logw, out=logw), y)
 
         return stattests.column_pieces(x, self.x_train, stattests.gaussian_denoms(self.bandwidths)), loss
@@ -331,14 +377,14 @@ class _ParetoLocalModel(_KernelLocalModel):
         weights it collapses to the global MLE 1/mean(ln y)."""
         sw = self._weight_sums(w)
         with np.errstate(divide="ignore"):
-            theta = sw / (w @ self._log_y)
+            theta = sw / _slice_dot(w, self._log_y)
         if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
             raise DegenerateTheta("non-positive or non-finite Pareto index")
         return theta
 
-    def nll(self, w: np.ndarray, y: np.ndarray) -> float:
+    def nll(self, w: np.ndarray, y: np.ndarray):
         theta = self._local_params(w)
-        return float(np.mean(-np.log(theta) + (theta + 1.0) * np.log(y)))
+        return np.mean(-np.log(theta) + (theta + 1.0) * np.log(y), axis=-1)
 
     @staticmethod
     def _transform(y: np.ndarray, theta: np.ndarray):
@@ -362,17 +408,17 @@ class _GammaLocalModel(_KernelLocalModel):
     def _local_params(self, w: np.ndarray):
         """(shape, scale) by weighted moment matching."""
         sw = self._weight_sums(w)
-        mu = (w @ self.y_train) / sw
-        second = (w @ (self.y_train * self.y_train)) / sw
+        mu = _slice_dot(w, self.y_train) / sw
+        second = _slice_dot(w, self.y_train * self.y_train) / sw
         var = second - mu * mu
         if np.any(mu <= 0) or np.any(var <= 0) or not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
             raise DegenerateTheta("degenerate local Gamma moments")
         return mu * mu / var, var / mu
 
-    def nll(self, w: np.ndarray, y: np.ndarray) -> float:
+    def nll(self, w: np.ndarray, y: np.ndarray):
         shape, scale = self._local_params(w)
         nll = -(shape - 1.0) * np.log(y) + y / scale + shape * np.log(scale) + gammaln(shape)
-        return float(np.mean(nll))
+        return np.mean(nll, axis=-1)
 
     @staticmethod
     def _transform(y: np.ndarray, params):

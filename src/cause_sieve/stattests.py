@@ -23,6 +23,11 @@ from .model import MIN_ROWS, CandidateSet, Dataset
 
 LOG_P_FLOOR = np.log(1e-12)
 SIG_PERMUTATIONS = 99  # permutations per covariate in the significance test
+# Bytes of permuted pieces scored per batch in the significance test: three
+# 250 x 250 slices at n = 500, one slice at n = 2000.  The thin-plate loss
+# holds a scratch stack of the same size; nine slices were no faster and
+# raised the peak memory of an n = 500 spline table by a fifth.
+_BATCH_BYTES = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -51,15 +56,20 @@ def _median_bandwidth(col: np.ndarray) -> float:
     exactly for a tied pair, so row i's non-zero distances start at the
     end of s[i]'s tie group.
 
-    Both middle ranks lie in (t_lo, t_hi], at first the float just below
-    the smallest distance and the largest one, and each row keeps the
-    bracket [lo_i, hi_i) of its distances there.  A cut bisects the IEEE
-    bit patterns of t_lo and t_hi, which sort like the non-negative floats
-    they encode, so at most 64 cuts leave t_lo and t_hi adjacent; every
-    candidate left is then t_hi, ties or not.  A cut whose count falls
-    between the two middle ranks gives the result at once.  Once at most
-    2n candidates remain they are formed and the middle ranks partitioned
-    out.
+    Both middle ranks lie among the candidates, the distances in (t_lo,
+    t_hi], at first all of them, and each row keeps the bracket [lo_i, hi_i)
+    of its candidates.  A cut bisects the IEEE bit patterns of t_lo and
+    t_hi, which sort like the non-negative floats they encode, so at most
+    64 cuts leave one value.  At first, and after a cut that removed no
+    candidate, t_lo and t_hi close in on the candidates, to the float just
+    below the smallest and to the largest; the selection ends when those
+    two are equal, since both middle ranks are then that value.  On a tied
+    column, where more than 2n candidates equal the median, the clusters of
+    distances that differ only by rounding go in a few cuts; elsewhere
+    nearly every cut removes candidates and the check seldom runs.  A cut
+    whose count falls between the two middle ranks gives the result at
+    once.  Once at most 2n candidates remain they are formed and the middle
+    ranks partitioned out.
     """
     s = np.sort(col)
     n = s.size
@@ -70,16 +80,27 @@ def _median_bandwidth(col: np.ndarray) -> float:
     k1, k2 = (total - 1) // 2, total // 2  # the middle ranks np.median averages
     lo, hi = start, np.full(n, n)
     below, upto = 0, total  # distances before lo and before hi, summed over rows
-    gaps = np.diff(s)  # the smallest positive gap is the smallest non-zero distance
-    bits_lo, bits_hi = int(np.min(gaps[gaps > 0]).view(np.int64)) - 1, int(np.float64(s[-1] - s[0]).view(np.int64))
+    # before[j] = s[j - 1], so row i's largest candidate is before[hi_i] - s[i].
+    # The bracket checks write into diff and live and allocate nothing per cut:
+    # fresh temporaries between the (n, n) HSIC kernels have raised the peak
+    # memory of threaded runs at n = 2000 by one kernel.
+    before, diff, live = np.concatenate((s[:1], s)), np.empty(n), np.empty(n, dtype=bool)
+    stalled = True
     while upto - below > 2 * n:
-        if bits_hi - bits_lo == 1:
-            return float(np.int64(bits_hi).view(np.float64))
+        if stalled:
+            np.less(lo, hi, out=live)
+            least = np.min(np.subtract(np.take(s, lo, out=diff, mode="clip"), s, out=diff), where=live, initial=np.inf)
+            most = np.max(np.subtract(np.take(before, hi, out=diff, mode="clip"), s, out=diff), where=live, initial=0.0)
+            if least == most:
+                return float(least)
+            bits_lo, bits_hi = int(least.view(np.int64)) - 1, int(most.view(np.int64))
         bits = (bits_lo + bits_hi) // 2
         b, count = _cut(s, start, np.int64(bits).view(np.float64))
         if count <= k1:
+            stalled = count == below
             lo, below, bits_lo = b, count, bits
         elif count > k2:
+            stalled = count == upto
             hi, upto, bits_hi = b, count, bits
         else:  # count == k2 == k1 + 1: t splits the two middle ranks
             has_below, has_above = b > start, b < n
@@ -341,14 +362,23 @@ def perm_significance(
     ``permutation_pieces(x, y)`` on the held-out rows returns two things:
     a (d, m, P) array of per-column pieces that sum over the d columns to
     what the loss reads (thin-plate squared distances to the P centres,
-    Gaussian log-kernels to the P training rows), and ``loss(summed, pos,
-    perm)``, the held-out loss of one such sum of m rows in which column
-    ``pos`` is reordered by ``perm``; the loss may overwrite ``summed``.
-    Every model refitted here supplies both, so permuting column ``pos``
-    replaces one piece and no model is re-evaluated from scratch: with
-    rest = the sum of the other columns' pieces, formed once per position,
-    each permuted loss is ``loss(pieces[pos][perm] + rest, pos, perm)``.
-    The baseline is the identity permutation of column 0.
+    Gaussian log-kernels to the P training rows), and ``loss(stack, pos,
+    perms)``, the held-out losses of a (B, m, P) stack of such sums, slice b
+    with column ``pos`` reordered by ``perms[b]``, as B floats; the loss may
+    overwrite ``stack``, and slice b's loss does not depend on the other
+    slices.  Every model refitted here supplies both, so permuting column
+    ``pos`` replaces one piece and no model is re-evaluated from scratch:
+    with rest = the sum of the other columns' pieces, formed once per
+    position, slice b is ``pieces[pos][perms[b]] + rest``.  The baseline is
+    the identity permutation of column 0.
+
+    The permutations are drawn one at a time, in the same order for any B,
+    and scored in batches of B, gathered by ``np.take`` into one stack
+    allocated per call.  B is as many (m, P) slices as fit in
+    ``_BATCH_BYTES``, at least one: a batch costs the few dozen numpy calls
+    of one permutation, each of which releases the interpreter lock and
+    takes it back.  ``mode="clip"`` lets ``take`` write into ``out=``
+    directly; the default mode gathers into a buffer of its own and copies.
 
     The model is fitted on a held-out split: half the rows train the model,
     the other half supply the losses.  Comparing the held-out baseline with
@@ -366,17 +396,24 @@ def perm_significance(
     train, test = order[:half], order[half:]
     pieces, loss = refit(x[train], y[train]).permutation_pieces(x[test], y[test])
     m = test.size
+    batch = max(1, _BATCH_BYTES // pieces[0].nbytes)
+    stack = np.empty((batch,) + pieces.shape[1:])
+    perms = np.empty((batch, m), dtype=np.intp)
 
     p_values = np.empty(len(s))
     for pos, member in enumerate(s.members):
         rest = sum(pieces[j] for j in range(len(s)) if j != pos)  # 0 for one column
         if pos == 0:
-            base = loss(pieces[0] + rest, 0, np.arange(m))
+            np.add(pieces[0], rest, out=stack[0])
+            base = loss(stack[:1], 0, np.arange(m)[None])[0]
         col_rng = seeding.substream(seed, seeding.SIG_PERM, member, *s.members)
         count = 0
-        for _ in range(n_perm):
-            perm = col_rng.permutation(m)
-            if loss(pieces[pos][perm] + rest, pos, perm) <= base:
-                count += 1
+        for done in range(0, n_perm, batch):
+            k = min(batch, n_perm - done)
+            for b in range(k):
+                perms[b] = col_rng.permutation(m)
+            np.take(pieces[pos], perms[:k], axis=0, out=stack[:k], mode="clip")
+            stack[:k] += rest
+            count += int(np.count_nonzero(loss(stack[:k], pos, perms[:k]) <= base))
         p_values[pos] = (1 + count) / (n_perm + 1)
     return p_values

@@ -450,10 +450,10 @@ def _spline_loss(model, refs, x, y):
 def _permuted_loss(model, x, y, pos, perm):
     """The held-out loss with column ``pos`` of ``x`` reordered by ``perm``,
     summed from the model's permutation pieces as perm_significance sums
-    them."""
+    them, scored as a batch of one."""
     pieces, loss = model.permutation_pieces(x, y)
     rest = sum(pieces[j] for j in range(len(pieces)) if j != pos)
-    return loss(pieces[pos][perm] + rest, pos, perm)
+    return loss((pieces[pos][perm] + rest)[None], pos, perm[None])[0]
 
 
 def _baseline(model, x, y):
@@ -551,3 +551,82 @@ class TestPermutationEvaluator:
                 logw = gaussian_log_kernel(_permuted(xt, pos, perm), model.x_train, model.bandwidths)
                 want = model.nll(np.exp(logw), yt)
                 assert _permuted_loss(model, xt, yt, pos, perm) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class _RecordingRefit:
+    """A refit for ``perm_significance`` that fits ``model_cls`` and records
+    the held-out rows, the pieces and every batch its loss scores."""
+
+    def __init__(self, model_cls):
+        self.model_cls, self.batches = model_cls, []
+
+    def __call__(self, x, y):
+        self.model = self.model_cls(x, y)
+        return self
+
+    def permutation_pieces(self, x, y):
+        self.x, self.y = x, y
+        self.pieces, loss = self.model.permutation_pieces(x, y)
+
+        def recording(stack, pos, perms):
+            losses = loss(stack, pos, perms)
+            self.batches.append((pos, perms.copy(), np.array(losses)))
+            return losses
+
+        return self.pieces, recording
+
+
+def _one_at_a_time(model, pieces, x, y, pos, perm):
+    """The held-out loss of one permutation as it was computed before the
+    losses were batched: one sum, ``_thin_plate`` with its 1/2 and floor,
+    and one product per block of the spline coefficients."""
+    r2 = pieces[pos][perm] + sum(pieces[j] for j in range(len(pieces)) if j != pos)
+    if isinstance(model, _KernelLocalModel):
+        return model.nll(np.exp(r2), y)
+    kernel = regress._thin_plate(r2)
+    xn = x / model.x_scale
+    coeffs = np.column_stack([s.coeffs for s in model.splines])
+    n_centres = model.centres.shape[0]
+    values = kernel @ coeffs[:n_centres] + (coeffs[n_centres] + _permuted(xn, pos, perm) @ coeffs[n_centres + 1 :])
+    return model.prediction_loss(values, y)
+
+
+class TestBatchedPermutedLosses:
+    """perm_significance scores its permutations in batches; every batched
+    loss is the float the one-at-a-time loss gives."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("model_cls", _SPLINES + list(_KERNEL_LOCAL.values()), ids=lambda cls: cls.__name__)
+    def test_batches_equal_one_at_a_time(self, model_cls, d):
+        # 97 held-out rows: one product over a whole stack would round some
+        # rows differently from the product of their slice alone
+        n = 194
+        for tied in (False, True):
+            n_perm = (50, 99, 100)[(d + tied) % 3]
+            rng = seeding.substream(d + 10 * tied, 912)
+            x = rng.standard_normal((n, d))
+            if tied:  # every row twice, so held-out rows sit on training rows
+                x[n // 2 :] = x[: n // 2]
+            if model_cls is _ParetoLocalModel:
+                y = (1.0 - rng.random(n)) ** (-1.0 / (2.0 + np.tanh(x[:, 0])))
+            elif model_cls is _GammaLocalModel:
+                y = rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5)
+            else:
+                y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, -1] ** 2) * rng.standard_normal(n)
+            refit = _RecordingRefit(model_cls)
+            s = CandidateSet(tuple(range(1, d + 1)))
+            p = stattests.perm_significance(table(y, *x.T), s, refit, n_perm=n_perm, seed=d)
+            if model_cls in _SPLINES:  # tied rows take the floor of r^2, the others skip it
+                assert all(np.min(piece) < np.finfo(float).tiny for piece in refit.pieces) == tied
+            sizes = [perms.shape[0] for _, perms, _ in refit.batches]
+            assert sum(sizes) == 1 + d * n_perm and max(sizes) > 1
+            assert n_perm % max(sizes) in sizes  # a short last batch
+            got = np.concatenate([losses for _, _, losses in refit.batches])
+            want = [
+                _one_at_a_time(refit.model, refit.pieces, refit.x, refit.y, pos, perm)
+                for pos, perms, _ in refit.batches
+                for perm in perms
+            ]
+            assert np.array_equal(got, want)
+            counts = (np.reshape(want[1:], (d, n_perm)) <= want[0]).sum(axis=1)
+            np.testing.assert_array_equal(p, (1 + counts) / (n_perm + 1))

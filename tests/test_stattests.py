@@ -237,7 +237,9 @@ class TestMedianBandwidth:
 
     def test_at_most_64_cuts(self, monkeypatch):
         # each cut halves the bit-pattern interval of t, so the selection
-        # ends within 64 cuts, ties or not; tied columns need the most
+        # ends within 64 cuts, ties or not; the bracket closes in on the
+        # candidates, so tied columns, whose middle distances differ only by
+        # rounding, end within a few
         cut, calls = stattests._cut, []
 
         def counting(*args):
@@ -251,7 +253,7 @@ class TestMedianBandwidth:
             _median_bandwidth(col)
             counts[name] = len(calls)
         assert max(counts.values()) <= 64, counts
-        assert max(counts.values()) > 32  # some column runs the bisection down to adjacent floats
+        assert max(counts[name] for name in ("rounded", "three levels", "offset")) <= 16, counts
 
     def test_memory_is_linear_in_n(self):
         # the n(n-1)/2 distances are never formed
@@ -316,6 +318,28 @@ class TestPermSignificance:
         data = table(rng.standard_normal(100), rng.standard_normal(100))
         with pytest.raises(BadParam):
             perm_significance(data, CandidateSet((1,)), lambda x, y: None, n_perm=49)
+
+    def test_memory_is_pieces_rest_and_two_batches(self):
+        # the (m, P) arrays alive at once: d pieces, rest, the batch stack
+        # and the loss's scratch stack, plus the next position's rest while
+        # it is summed; none of them grows with n_perm
+        n, d = 500, 3
+        rng = seeding.substream(d, 801)
+        x = rng.standard_normal((n, d))
+        y = np.sin(x[:, 0]) + 0.3 * rng.standard_normal(n)
+        data = table(y, *x.T)
+        slice_bytes = (n - n // 2) * (n // 2) * 8
+        batch = max(1, stattests._BATCH_BYTES // slice_bytes)
+        peaks = {}
+        for n_perm in (50, 200):
+            tracemalloc.start()
+            try:
+                perm_significance(data, CandidateSet((1, 2, 3)), _MeanSmoother, n_perm=n_perm, seed=0)
+                peaks[n_perm] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[50] < (d + 1 + 2 * batch + 2) * slice_bytes, peaks
+        assert peaks[200] <= peaks[50] + 64 * 1024, peaks
 
     def test_strong_and_null_covariates(self):
         strong_min = 0
