@@ -123,16 +123,16 @@ def analyze(
     f_class: FunctionClass,
     cfg: DiscoveryConfig | None = None,
     mode: str = "both",
-    jobs: int | None = None,
 ) -> DiscoveryResult:
     """Evaluate every candidate once and derive the requested estimates.
 
-    The candidates are evaluated on :func:`parallel.thread_map` with
-    ``jobs`` threads (None: its default), the largest sets started first.
+    The candidates are evaluated on :func:`parallel.thread_map`, the largest
+    sets started first: on one thread inside a worker process or a
+    ``thread_map`` worker, else on ``min(DEFAULT_THREADS, available_cores())``.
     The spline solves may also start BLAS threads of their own in each thread
     unless ``OPENBLAS_NUM_THREADS=1`` is set.  Each candidate seeds its own
-    substreams, so the verdicts and the result JSON do not depend on
-    ``jobs``.  A ``StatError`` marks its candidate implausible; any other
+    substreams, so the verdicts and the result JSON do not depend on the
+    thread count.  A ``StatError`` marks its candidate implausible; any other
     exception stops the search and is raised here after every worker thread
     has finished.  Two faults that would fail every candidate are raised
     before any fit: ``TooManyCovariates`` past the smoother dimension cap,
@@ -154,7 +154,7 @@ def analyze(
     evaluate = partial(check_plausibility, data, f_class=f_class, cfg=cfg)
     # enumerate_candidates ascends in |S|, so the reversed list starts the
     # largest, slowest fits first and the threads finish close together
-    verdicts = thread_map(evaluate, enumerate_candidates(data.p)[::-1], jobs)[::-1]
+    verdicts = thread_map(evaluate, enumerate_candidates(data.p)[::-1])[::-1]
 
     isd_estimate = None
     plausible_sets = None

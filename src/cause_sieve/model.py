@@ -132,10 +132,14 @@ def validate_dataset(values, names, target_name: str) -> Dataset:
 
     Raises ``MissingTarget``, ``NonFiniteEntry`` (with original row/column
     coordinates), ``ConstantColumn``, ``TooFewRows``, or ``ValidationError``
-    for structural problems (duplicate names, no covariates).
+    for structural problems (duplicate names, no covariates, ragged rows,
+    non-numeric cells).
     """
     names = tuple(str(c) for c in names)
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"not a numeric table: {err}") from None
     if arr.ndim != 2:
         raise ValidationError(f"expected a 2-D table, got ndim={arr.ndim}")
     if arr.shape[1] != len(names):

@@ -19,10 +19,12 @@ against one:
   threads give x0.9 where two processes give x1.9, and ``np.linalg.solve``
   does no better.
 
-Parallelism stays one level deep.  A :func:`thread_map` given no thread
-count runs in order on the calling thread when it is already inside a
-parallel unit: in a worker process (the CLI's replicate pool), or on one of
-its own worker threads (an ``analyze`` inside a theory-check draw).
+One rule sets the thread count, and no caller passes one: a
+:func:`thread_map` already inside a parallel unit, a worker process (the
+CLI's replicate pool) or one of its own worker threads (an ``analyze``
+inside a theory-check draw), runs in order on the calling thread, so
+parallelism stays one level deep; anywhere else it runs on
+``min(DEFAULT_THREADS, available_cores())`` threads.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import BadParam
-
-# Threads used when no count is given.  Memory grows with the threads (two
+# Threads of a top-level thread_map.  Memory grows with the threads (two
 # (n, n) float arrays per concurrent HSIC, 64 MB at n=2000), and speed and
-# peak memory have been measured on two cores only, so the default does not
+# peak memory have been measured on two cores only, so the count does not
 # grow with the host.
 DEFAULT_THREADS = 2
 
@@ -58,25 +58,18 @@ def _nested() -> bool:
     return multiprocessing.parent_process() is not None or threading.current_thread().name.startswith(THREAD_PREFIX)
 
 
-def thread_map(fn, items, jobs: int | None = None) -> list:
-    """``[fn(item) for item in items]`` on at most ``jobs`` threads.
+def thread_map(fn, items) -> list:
+    """``[fn(item) for item in items]`` on ``1 if _nested() else
+    min(DEFAULT_THREADS, available_cores())`` threads, at most one per item.
 
-    ``jobs=None`` means one thread inside a worker process or on a
-    ``thread_map`` worker thread, so parallelism stays one level deep, and
-    ``min(DEFAULT_THREADS, available_cores())`` everywhere else.  An explicit
-    ``jobs`` is obeyed.  No thread starts when there is one item or
-    ``jobs == 1``.  Items start in the order given and results come back in
-    that order.  If a call raises, items not yet started are cancelled and
-    the first error in item order is raised once every worker thread has
-    been joined.
+    No thread starts when that count is 1.  Items start in the order given
+    and results come back in that order.  If a call raises, items not yet
+    started are cancelled and the first error in item order is raised once
+    every worker thread has been joined.
     """
     items = list(items)
-    if jobs is None:
-        jobs = 1 if _nested() else min(DEFAULT_THREADS, available_cores())
-    if jobs < 1:
-        raise BadParam(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, len(items))
-    if jobs <= 1:
+    threads = 1 if _nested() else min(DEFAULT_THREADS, available_cores(), len(items))
+    if threads <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(jobs, thread_name_prefix=THREAD_PREFIX) as pool:
+    with ThreadPoolExecutor(threads, thread_name_prefix=THREAD_PREFIX) as pool:
         return list(pool.map(fn, items))

@@ -245,7 +245,9 @@ class _LocationScaleModel(_MeanSmoother):
         self.splines = (mu, _Spline(kernel, self.centres, np.log(resid * resid + self.floor**2)))
 
     def _sigma_from_logvar(self, logvar: np.ndarray) -> np.ndarray:
-        return np.maximum(np.exp(0.5 * (logvar - _LOG_CHI2_MEAN)), self.floor)
+        # a scale past the float range is infinite, and so is its loss
+        with np.errstate(over="ignore"):
+            return np.maximum(np.exp(0.5 * (logvar - _LOG_CHI2_MEAN)), self.floor)
 
     def sigma_fitted(self) -> np.ndarray:
         return self._sigma_from_logvar(self.splines[1].fitted)

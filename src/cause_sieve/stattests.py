@@ -187,10 +187,10 @@ def gaussian_denoms(hs) -> list[float]:
     return [-(2.0 * h * h) for h in hs]
 
 
-def gaussian_log_kernel(a: np.ndarray, b: np.ndarray, hs, out: np.ndarray | None = None) -> np.ndarray:
+def gaussian_log_kernel(a: np.ndarray, b: np.ndarray, hs) -> np.ndarray:
     """(m, n) Gaussian log-kernel between the rows of ``a`` (m, d) and ``b``
     (n, d): the sum over columns j of -(a_ij - b_kj)^2 / (2 hs[j]^2)."""
-    return squared_differences(a, b, gaussian_denoms(hs), out)
+    return squared_differences(a, b, gaussian_denoms(hs))
 
 
 def _product_rbf_kernel(x: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cause_sieve import discover, seeding
 from cause_sieve.discover import (
@@ -21,12 +23,12 @@ from cause_sieve.discover import (
     score_search,
     select_score_estimate,
 )
-from cause_sieve.errors import BadParam, DomainViolation, TooManyCovariates
-from cause_sieve.model import CandidateSet, DiscoveryConfig, FunctionClass, enumerate_candidates
+from cause_sieve.errors import BadParam, CauseSieveError, DomainViolation, TooManyCovariates
+from cause_sieve.model import CLASS_CODES, CandidateSet, DiscoveryConfig, FunctionClass, enumerate_candidates
 from cause_sieve.stattests import LOG_P_FLOOR
 from cause_sieve.synth import gen_benchmark1, gen_benchmark2, gen_benchmark3, gen_linear_chain
 
-from conftest import table
+from conftest import table, use_threads
 
 
 def _chain_data(seed, n=500, noise="gaussian"):
@@ -257,15 +259,16 @@ class TestDegenerateInput:
         assert len(with_both) == 2
         assert all(v.reason == "RankDeficient" for v in with_both)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("label", ["additive", "location-scale", "cpcm:gaussian"])
-    def test_too_few_rows_for_the_spline_is_rank_deficient(self, label, jobs):
+    def test_too_few_rows_for_the_spline_is_rank_deficient(self, label, count, monkeypatch):
         # n = 20: the permutation refit trains on 10 rows, and its CV folds
         # have 5 rows, too few for the 1 + |s| polynomial terms when |s| >= 5
         rng = seeding.substream(0, 778)
         x = rng.standard_normal((20, 6))
         data = table(np.sin(x[:, 0]) + 0.5 * rng.standard_normal(20), *x.T)
-        res = analyze(data, FunctionClass.parse(label), DiscoveryConfig(seed=0), jobs=jobs)
+        use_threads(monkeypatch, count)
+        res = analyze(data, FunctionClass.parse(label), DiscoveryConfig(seed=0))
         reasons = {v.candidate.members: v.reason for v in res.verdicts}
         assert reasons == {s.members: "RankDeficient" if len(s) >= 5 else None for s in enumerate_candidates(6)}
 
@@ -305,6 +308,27 @@ def _same_verdict(a: PlausibilityVerdict, b: PlausibilityVerdict) -> bool:
     return True
 
 
+def _one_and_two_threads(monkeypatch, *args):
+    """``analyze(*args)`` on one thread, then on two, checking that each run
+    evaluated its candidates on the threads it was given."""
+    ran_on = []
+    real = discover.check_plausibility
+
+    def recorded(*a, **kw):
+        ran_on.append(threading.get_ident())
+        return real(*a, **kw)
+
+    monkeypatch.setattr(discover, "check_plausibility", recorded)
+    use_threads(monkeypatch, 1)
+    one = analyze(*args)
+    assert set(ran_on) == {threading.get_ident()}
+    ran_on.clear()
+    use_threads(monkeypatch, 2)
+    two = analyze(*args)
+    assert len(set(ran_on)) == 2 and threading.get_ident() not in ran_on
+    return one, two
+
+
 class TestJobs:
     """Candidates evaluated on threads give the results of one thread."""
 
@@ -314,21 +338,18 @@ class TestJobs:
     ]
 
     @pytest.mark.parametrize("label,bench", CASES)
-    def test_threads_match_one_thread(self, label, bench):
+    def test_threads_match_one_thread(self, label, bench, monkeypatch):
         data = {1: gen_benchmark1, 3: gen_benchmark3}[bench](5, 120).data
-        f_class, cfg = FunctionClass.parse(label), DiscoveryConfig(seed=5)
-        one = analyze(data, f_class, cfg, jobs=1)
-        two = analyze(data, f_class, cfg, jobs=2)
+        one, two = _one_and_two_threads(monkeypatch, data, FunctionClass.parse(label), DiscoveryConfig(seed=5))
         assert [v.candidate for v in two.verdicts] == enumerate_candidates(data.p)
         assert all(_same_verdict(a, b) for a, b in zip(one.verdicts, two.verdicts, strict=True))
         assert result_to_json(one) == result_to_json(two)
 
-    def test_rank_deficient_candidates_match(self):
+    def test_rank_deficient_candidates_match(self, monkeypatch):
         rng = seeding.substream(3, 778)
         x1, x3 = rng.standard_normal(100), rng.standard_normal(100)
         data = table(np.sin(x1) + 0.5 * rng.standard_normal(100), x1, x1.copy(), x3)
-        one = analyze(data, FunctionClass("additive"), DiscoveryConfig(seed=0), jobs=1)
-        two = analyze(data, FunctionClass("additive"), DiscoveryConfig(seed=0), jobs=2)
+        one, two = _one_and_two_threads(monkeypatch, data, FunctionClass("additive"), DiscoveryConfig(seed=0))
         assert sum(v.reason == "RankDeficient" for v in two.verdicts) == 2
         assert all(_same_verdict(a, b) for a, b in zip(one.verdicts, two.verdicts, strict=True))
         assert result_to_json(one) == result_to_json(two)
@@ -343,11 +364,82 @@ class TestJobs:
 
         monkeypatch.setattr(discover, "recover_noise", failing)
         data = gen_benchmark1(6, 100).data
+        use_threads(monkeypatch, 2)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected"):
-            analyze(data, FunctionClass("linear"), DiscoveryConfig(seed=6), jobs=2)
+            analyze(data, FunctionClass("linear"), DiscoveryConfig(seed=6))
         assert threading.active_count() == before
 
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(BadParam, match="jobs"):
-            analyze(gen_benchmark1(6, 60).data, FunctionClass("linear"), jobs=0)
+
+def _degenerate_table(seed, n, p, column, target):
+    """A valid table whose last covariate is degenerate in the way ``column``
+    names; a copy of a single covariate copies the target instead."""
+    rng = seeding.substream(seed, 779)
+    x = rng.standard_normal((n, p))
+    signal = np.sin(x[:, 0]) + 0.5 * rng.standard_normal(n)
+    if target == "smooth":
+        y = signal
+    elif target == "ties":
+        y = np.round(signal)
+    elif target == "pareto":
+        y = rng.random(n) ** (-1.0 / (2.0 + np.abs(x[:, 0])))
+        y[0] = 1.0  # on the support boundary
+    else:
+        y = rng.gamma(2.0, np.exp(0.5 * x[:, 0]))
+    source = x[:, 0] if p > 1 else y
+    if column == "duplicated":
+        x[:, -1] = source
+    elif column == "affine":
+        x[:, -1] = 3.0 * source - 2.0
+    elif column in ("levels2", "levels3"):
+        x[:, -1] = rng.permutation(np.arange(n) % int(column[-1]))
+    elif column in ("scale-8", "scale+8"):
+        x[:, -1] *= 1e-8 if column == "scale-8" else 1e8
+    else:
+        x[0, -1] = 1e3  # one value far out
+    return table(y, *x.T)
+
+
+TARGET_KINDS = ["smooth", "ties", "pareto", "gamma"]
+# targets inside each positive family's support, so its fits run instead of
+# stopping at the support check
+SUPPORTED_TARGETS = {"gamma": ["pareto", "gamma"], "pareto": ["pareto"]}
+
+
+class TestDegenerateTables:
+    """``analyze`` on small degenerate tables: a ``CauseSieveError`` or a
+    result whose failed candidates say why, the same on one thread and two."""
+
+    @staticmethod
+    def _outcome(data, f_class):
+        try:
+            res = analyze(data, f_class, DiscoveryConfig(seed=3))
+        except CauseSieveError as err:
+            return f"{type(err).__name__}: {err}"
+        for v in res.verdicts:
+            if any(math.isnan(q) for q in (v.p_indep, v.p_sig_max, v.p_dist)):
+                assert v.reason is not None, v
+        return result_to_json(res)
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(20, 60),
+        p=st.integers(1, 3),
+        column=st.sampled_from(["duplicated", "affine", "levels2", "levels3", "scale-8", "scale+8", "outlier"]),
+        case=st.sampled_from([FunctionClass(*key) for key in CLASS_CODES]).flatmap(
+            lambda f_class: st.tuples(st.just(f_class), st.sampled_from(SUPPORTED_TARGETS.get(f_class.family, TARGET_KINDS)))
+        ),
+    )
+    # a held-out log-variance spline far out at the outlier overflowed exp
+    @example(seed=1, n=20, p=1, column="outlier", case=(FunctionClass("location-scale"), "pareto"))
+    def test_only_library_errors_and_thread_free_bytes(self, seed, n, p, column, case):
+        f_class, target = case
+        data = _degenerate_table(seed, n, p, column, target)
+        with pytest.MonkeyPatch.context() as mp:
+            use_threads(mp, 1)
+            one = self._outcome(data, f_class)
+            use_threads(mp, 2)
+            two = self._outcome(data, f_class)
+            again = self._outcome(data, f_class)
+        assert one == two == again

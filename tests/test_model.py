@@ -67,6 +67,14 @@ class TestValidateDataset:
         with pytest.raises(ValidationError):
             validate_dataset(np.random.default_rng(4).standard_normal((30, 2)), ["Y", "Y"], "Y")
 
+    def test_non_numeric_cell(self):
+        with pytest.raises(ValidationError, match="numeric"):
+            validate_dataset([[1.0, "x"]] * 25, ["Y", "X"], "Y")
+
+    def test_ragged_rows(self):
+        with pytest.raises(ValidationError, match="numeric"):
+            validate_dataset([[1.0, 2.0]] * 24 + [[1.0]], ["Y", "X"], "Y")
+
     def test_values_read_only(self):
         data = table(np.arange(25.0), np.random.default_rng(5).standard_normal(25))
         with pytest.raises(ValueError):
@@ -88,7 +96,7 @@ class TestPitRescale:
         with pytest.raises(BadParam):
             pit_rescale([1.0, np.inf])
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
     def test_open_interval_and_monotone_invariance(self, values):
         r = np.asarray(values)
@@ -111,17 +119,17 @@ class TestAverageRanks:
         v = np.asarray(v, dtype=float)
         np.testing.assert_array_equal(average_ranks(v), rankdata(v, method="average"))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80, unique=True))
     def test_no_ties(self, values):
         self.check(values)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.integers(0, 2))
     def test_rounded_normals_heavy_ties(self, n, seed, decimals):
         self.check(np.round(np.random.default_rng(seed).standard_normal(n), decimals))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(1, 200), st.floats(-1e6, 1e6))
     def test_all_equal(self, n, value):
         self.check(np.full(n, value))

@@ -4,28 +4,26 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from cause_sieve.errors import BadParam
 from cause_sieve.parallel import DEFAULT_THREADS, available_cores, thread_map
+
+from conftest import use_threads
 
 
 def test_available_cores_positive():
     assert available_cores() >= 1
 
 
-def test_results_in_item_order():
+def test_results_in_item_order(monkeypatch):
     # later items finish first, results still come back in item order
-    assert thread_map(lambda i: (time.sleep(0.01 * (3 - i)), i)[1], range(4), jobs=3) == [0, 1, 2, 3]
+    use_threads(monkeypatch, 3)
+    assert thread_map(lambda i: (time.sleep(0.01 * (3 - i)), i)[1], range(4)) == [0, 1, 2, 3]
 
 
-def test_one_job_starts_no_thread():
+def test_one_job_starts_no_thread(monkeypatch):
+    use_threads(monkeypatch, 1)
     seen = []
-    thread_map(lambda i: seen.append(threading.current_thread()), range(3), jobs=1)
+    thread_map(lambda i: seen.append(threading.current_thread()), range(3))
     assert set(seen) == {threading.current_thread()}
-
-
-def test_jobs_below_one_rejected():
-    with pytest.raises(BadParam):
-        thread_map(str, range(3), jobs=0)
 
 
 def test_default_thread_count_is_capped():
@@ -39,7 +37,8 @@ def test_default_thread_count_is_capped():
     assert len(seen) <= min(DEFAULT_THREADS, available_cores())
 
 
-def test_first_error_raised_after_workers_joined():
+def test_first_error_raised_after_workers_joined(monkeypatch):
+    use_threads(monkeypatch, 3)
     before = threading.active_count()
     started = []
 
@@ -51,42 +50,31 @@ def test_first_error_raised_after_workers_joined():
         return i
 
     with pytest.raises(KeyError):
-        thread_map(fn, range(50), jobs=3)
+        thread_map(fn, range(50))
     assert threading.active_count() == before
     assert len(started) < 50  # items after the error are not started
 
 
-def _thread_idents(jobs):
+def _thread_idents():
     """Idents of the threads that ran the items of one ``thread_map``."""
-    return set(thread_map(lambda i: (time.sleep(0.01), threading.get_ident())[1], range(4), jobs))
+    return set(thread_map(lambda i: (time.sleep(0.01), threading.get_ident())[1], range(4)))
 
 
-def _in_worker(jobs):
-    return threading.get_ident(), _thread_idents(jobs)
-
-
-def _inside_thread_map(jobs):
-    """(outer worker thread, inner thread idents) of a ``thread_map`` run
-    inside each item of a two-thread ``thread_map``."""
-    return thread_map(lambda i: (threading.get_ident(), _thread_idents(jobs)), range(2), jobs=2)
+def _in_worker():
+    return threading.get_ident(), _thread_idents()
 
 
 def test_worker_process_runs_on_calling_thread():
     with ProcessPoolExecutor(1) as pool:
-        caller, idents = pool.submit(_in_worker, None).result()
+        caller, idents = pool.submit(_in_worker).result()
     assert idents == {caller}
 
 
-def test_nested_thread_map_starts_no_thread():
+def test_nested_thread_map_starts_no_thread(monkeypatch):
+    # each item of a two-thread thread_map runs a thread_map of its own
+    use_threads(monkeypatch, 2)
     before = threading.active_count()
-    seen = _inside_thread_map(None)
+    seen = thread_map(lambda i: (threading.get_ident(), _thread_idents()), range(2))
     assert {caller for caller, _ in seen} != {threading.get_ident()}  # the outer map did start threads
     assert all(idents == {caller} for caller, idents in seen)
     assert threading.active_count() == before
-
-
-def test_explicit_jobs_still_start_threads():
-    with ProcessPoolExecutor(1) as pool:
-        caller, idents = pool.submit(_in_worker, 2).result()
-    assert caller not in idents
-    assert all(caller not in idents for caller, idents in _inside_thread_map(2))

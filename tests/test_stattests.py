@@ -221,7 +221,7 @@ class TestMedianBandwidth:
             assert _median_bandwidth(col) == _textbook_median(col), name
         assert parities == {0, 1}
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1e-17, 0.25, 1.0, 1.0 + 2**-52, 3.0]), min_size=20, max_size=80))
     def test_matches_textbook_median_with_ties(self, values):
         col = np.array(values)
@@ -281,9 +281,6 @@ class TestGaussianLogKernel:
         for j in range(d):
             diff = b[:, j][None, :] - a[:, j][:, None]
             expected += -(diff * diff) / (2.0 * hs[j] * hs[j])
-        out = np.empty((300, 170))
-        assert gaussian_log_kernel(a, b, hs, out=out) is out
-        np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(gaussian_log_kernel(a, b, hs), expected)
 
 
