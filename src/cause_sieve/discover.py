@@ -27,7 +27,7 @@ from .model import (
 )
 from .parallel import thread_map
 from .regress import EPS_CLIP, MODELS, PENALTY_GRID, SMOOTHER_DIM_CAP, recover_noise
-from .stattests import LOG_P_FLOOR, SIG_PERMUTATIONS, TestResult, ad_uniform_test, hsic_test
+from .stattests import LOG_P_FLOOR, SIG_PERMUTATIONS, TestResult, ad_uniform_test, column_bandwidths, hsic_test
 
 NEG_INF = float("-inf")
 
@@ -71,13 +71,19 @@ class DiscoveryResult:
 
 
 def check_plausibility(
-    data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig | None = None
+    data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig | None = None, *, bandwidths=None
 ) -> PlausibilityVerdict:
-    """Run the class-appropriate noise recovery and answer the three questions."""
+    """Run the class-appropriate noise recovery and answer the three questions.
+
+    ``bandwidths`` are the HSIC bandwidths of all of ``data``'s covariates,
+    ``column_bandwidths(data.values[:, 1:])``, which ``analyze`` selects
+    once per table; when None, those of the members of ``s`` are selected
+    here.  Either way the test sees the same floats."""
     cfg = cfg or DiscoveryConfig()
     try:
         recovery = recover_noise(data, s, f_class, seed=seeding.child_seed(cfg.seed, f_class.code))
-        indep = hsic_test(data.covariates(s), recovery.residuals)
+        member_bandwidths = None if bandwidths is None else [bandwidths[m - 1] for m in s.members]
+        indep = hsic_test(data.covariates(s), recovery.residuals, member_bandwidths)
         # only the parametric class asks the uniformity question; the rest answer p = 1
         p_dist = ad_uniform_test(recovery.eps).p_value if MODELS[f_class.key].parametric else 1.0
     except StatError as exc:
@@ -137,6 +143,8 @@ def analyze(
     has finished.  Two faults that would fail every candidate are raised
     before any fit: ``TooManyCovariates`` past the smoother dimension cap,
     and ``DomainViolation`` for a target outside the family's support.
+    Each covariate's HSIC bandwidth is selected once, before the candidates,
+    and every candidate that holds the covariate reads it.
     """
     cfg = cfg or DiscoveryConfig()
     if mode not in ("isd", "score", "both"):
@@ -151,7 +159,8 @@ def analyze(
     # unfittable: fail instead of returning a vacuous search
     model_cls.check_support(data.y)
 
-    evaluate = partial(check_plausibility, data, f_class=f_class, cfg=cfg)
+    bandwidths = column_bandwidths(data.values[:, 1:])
+    evaluate = partial(check_plausibility, data, f_class=f_class, cfg=cfg, bandwidths=bandwidths)
     # enumerate_candidates ascends in |S|, so the reversed list starts the
     # largest, slowest fits first and the threads finish close together
     verdicts = thread_map(evaluate, enumerate_candidates(data.p)[::-1])[::-1]

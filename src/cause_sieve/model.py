@@ -172,8 +172,9 @@ def validate_dataset(values, names, target_name: str) -> Dataset:
 
 
 def load_csv(path, target_name: str) -> Dataset:
-    """Read an RFC-4180 CSV with a mandatory header row and validate it."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    """Read an RFC-4180 CSV with a mandatory header row and validate it.
+    A UTF-8 byte order mark before the header is dropped."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -6,12 +6,15 @@ facts.  Its constructor fits ``(x, y)``; ``noise(y)`` returns the noise on
 the (0,1) scale with its residuals and fit loss; ``significance_p(data, s,
 seed)`` gives one p-value per member of ``s``: held-out permutation
 significance, or the linear slopes' t-tests.  ``stattests.perm_significance``
-refits the class and reads its ``permutation_pieces(x, y)``; that function's
-docstring states the protocol.  Its losses score a batch: a (B, m, P) stack
-of summed pieces and B permutations give B losses, each the float its slice
+refits the class and reads its ``permutation_pieces(x, y)``: the per-column
+pieces, an elementwise ``transform`` of their sums and the ``score`` of a
+transformed stack, whose composition is the held-out loss; that function's
+docstring states the protocol, and why a one-member candidate's pieces are
+transformed once and then only gathered.  The scores take a batch: a
+(B, m, P) stack and B permutations give B losses, each the float its slice
 gives alone, since elementwise work and reductions over the last axis do
 not mix slices and every matrix product is one ``np.dot`` per slice
-(``_slice_dot``).  The losses use ``np.dot``, not ``@``, because the matrix-
+(``_slice_dot``).  The scores use ``np.dot``, not ``@``, because the matrix-
 vector ``@`` holds the interpreter lock; the fits keep ``@``.  ``smoother``
 says whether ``SMOOTHER_DIM_CAP`` bounds ``|s|`` (all but linear);
 ``check_support(y)`` raises ``DomainViolation`` outside the family's
@@ -195,10 +198,10 @@ class _MeanSmoother(_Model):
 
     def permutation_pieces(self, x: np.ndarray, y: np.ndarray):
         """The (d, m, P) per-column squared differences to the P centres,
-        which sum to the squared distances r^2, and the losses of a stack of
-        sums.
+        which sum to the squared distances r^2, their transform and the
+        score of a transformed stack.
 
-        The loss overwrites r^2 with ``_r2_log_r2``, the ``_thin_plate``
+        The transform overwrites r^2 with ``_r2_log_r2``, the ``_thin_plate``
         kernel without its 1/2, which serves every spline; the 1/2 goes into
         the centres' coefficients instead, and halving is exact.  The log is
         written into a scratch stack of this model's own, allocated once.
@@ -206,8 +209,8 @@ class _MeanSmoother(_Model):
         below it: a sum of non-negative pieces falls there only where each of
         them does.  Leaving out the halving pass and, on untied rows, the
         floor pass makes ``analyze`` of an n = 500 additive table about 8%
-        faster (2 vCPUs).  In the polynomial
-        block [1, xn], slice b reorders column ``pos`` by ``perms[b]``."""
+        faster (2 vCPUs).  In the polynomial block [1, xn] of the score,
+        slice b reorders column ``pos`` by ``perms[b]``."""
         xn = x / self.x_scale
         n_centres = self.centres.shape[0]
         coeffs = np.column_stack([s.coeffs for s in self.splines])
@@ -216,16 +219,18 @@ class _MeanSmoother(_Model):
         floor = all(np.min(piece) < _TINY for piece in pieces)
         scratch = np.empty((0,) + pieces.shape[1:])
 
-        def loss(r2: np.ndarray, pos: int, perms: np.ndarray) -> np.ndarray:
+        def transform(r2: np.ndarray) -> np.ndarray:
             nonlocal scratch
             if scratch.shape[0] < r2.shape[0]:
                 scratch = np.empty_like(r2)
-            r2 = _r2_log_r2(r2, scratch[: r2.shape[0]], floor)
+            return _r2_log_r2(r2, scratch[: r2.shape[0]], floor)
+
+        def score(kernel: np.ndarray, pos: int, perms: np.ndarray) -> np.ndarray:
             xp = np.repeat(xn[None], len(perms), axis=0)
             xp[:, :, pos] = xn[perms, pos]
-            return self.prediction_loss(_spline_values(r2, xp, coeffs), y)
+            return self.prediction_loss(_spline_values(kernel, xp, coeffs), y)
 
-        return pieces, loss
+        return pieces, transform, score
 
 
 # E[log eps^2] for standard normal eps: psi(1/2) + log 2.  The smoother of
@@ -242,7 +247,13 @@ class _LocationScaleModel(_MeanSmoother):
         self.floor = 1e-6 * max(float(np.std(y)), _TINY)
         mu = _Spline(kernel, self.centres, y)
         resid = y - mu.fitted
-        self.splines = (mu, _Spline(kernel, self.centres, np.log(resid * resid + self.floor**2)))
+        # squares past the float range give an infinite log variance; at
+        # tiny scales squares and floor underflow to 0 and give -inf
+        with np.errstate(over="ignore", divide="ignore"):
+            logvar = np.log(resid * resid + self.floor**2)
+        if not np.all(np.isfinite(logvar)):
+            raise DegenerateTheta("log squared residuals are not finite: the residual scale is outside the float range")
+        self.splines = (mu, _Spline(kernel, self.centres, logvar))
 
     def _sigma_from_logvar(self, logvar: np.ndarray) -> np.ndarray:
         # a scale past the float range is infinite, and so is its loss
@@ -348,13 +359,16 @@ class _KernelLocalModel(_Model):
         return eps, eps, fit_loss
 
     def permutation_pieces(self, x: np.ndarray, y: np.ndarray):
-        """The per-column Gaussian log-kernels to the training rows and the
-        losses of a stack of sums, which is exponentiated in place."""
+        """The per-column Gaussian log-kernels to the training rows, their
+        transform, ``exp`` in place, and the score of the kernel weights."""
 
-        def loss(logw: np.ndarray, pos: int, perms: np.ndarray) -> np.ndarray:
-            return self.nll(np.exp(logw, out=logw), y)
+        def transform(logw: np.ndarray) -> np.ndarray:
+            return np.exp(logw, out=logw)
 
-        return stattests.column_pieces(x, self.x_train, stattests.gaussian_denoms(self.bandwidths)), loss
+        def score(w: np.ndarray, pos: int, perms: np.ndarray) -> np.ndarray:
+            return self.nll(w, y)
+
+        return stattests.column_pieces(x, self.x_train, stattests.gaussian_denoms(self.bandwidths)), transform, score
 
 
 class _ParetoLocalModel(_KernelLocalModel):

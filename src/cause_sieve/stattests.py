@@ -153,16 +153,23 @@ def squared_differences(a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarr
 
     The columns are added in order, as scipy's ``cdist(a, b,
     "sqeuclidean")`` adds them.  The first is built in ``out`` (a new array
-    when None); each further column is added block by block of rows, so no
-    second (m, n) array exists.
+    when None); each further column is built block by block of rows in one
+    scratch block and added, so no second (m, n) array exists.  A block
+    row i is a_ij copied across the row and b_kj subtracted in place: the
+    same rounded a_ij - b_kj as ``np.subtract.outer``, in about two thirds
+    of its time at n = 2000.
     """
-    m = a.shape[0]
+    m, n = a.shape[0], b.shape[0]
     if out is None:
-        out = np.empty((m, b.shape[0]))
+        out = np.empty((m, n))
+    scratch = np.empty((min(m, _KERNEL_BLOCK_ROWS), n)) if a.shape[1] > 1 else None
     for j in range(a.shape[1]):
         step = _KERNEL_BLOCK_ROWS if j else max(m, 1)
         for lo in range(0, m, step):
-            d = np.subtract.outer(a[lo : lo + step, j], b[:, j], out=None if j else out)
+            rows = a[lo : lo + step, j, None]
+            d = scratch[: rows.shape[0]] if j else out
+            np.copyto(d, rows)
+            d -= b[:, j]
             np.multiply(d, d, out=d)
             if denoms is not None:
                 d /= denoms[j]
@@ -193,16 +200,21 @@ def gaussian_log_kernel(a: np.ndarray, b: np.ndarray, hs) -> np.ndarray:
     return squared_differences(a, b, gaussian_denoms(hs))
 
 
-def _product_rbf_kernel(x: np.ndarray) -> np.ndarray:
+def column_bandwidths(x: np.ndarray) -> list[float]:
+    """The median-heuristic bandwidth of each column of the (n, d) ``x``."""
+    return [_median_bandwidth(x[:, j]) for j in range(x.shape[1])]
+
+
+def _product_rbf_kernel(x: np.ndarray, bandwidths=None) -> np.ndarray:
     """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2)), one
-    median-heuristic bandwidth per column.
+    median-heuristic bandwidth per column (``column_bandwidths(x)`` unless
+    given).
 
     The bandwidths are selected first, in O(n) memory each; then one
     (n, n) array is allocated, the log-kernel built in it and
     exponentiated in place.
     """
-    bandwidths = [_median_bandwidth(x[:, j]) for j in range(x.shape[1])]
-    k = gaussian_log_kernel(x, x, bandwidths)
+    k = gaussian_log_kernel(x, x, column_bandwidths(x) if bandwidths is None else bandwidths)
     return np.exp(k, out=k)
 
 
@@ -223,16 +235,21 @@ def _center(k: np.ndarray) -> None:
     k -= k.mean(axis=1, keepdims=True)
 
 
-def hsic_test(x, e) -> TestResult:
+def hsic_test(x, e, bandwidths=None) -> TestResult:
     """HSIC independence test between a covariate block and a noise vector:
     the one-vector case of :func:`hsic_tests`."""
-    return hsic_tests(x, [e])[0]
+    return hsic_tests(x, [e], bandwidths)[0]
 
 
-def hsic_tests(x, es) -> list[TestResult]:
+def hsic_tests(x, es, bandwidths=None) -> list[TestResult]:
     """HSIC independence tests of one covariate block against each of
     several noise vectors, ``[hsic_test(x, e) for e in es]``, with the
     kernel of ``x`` built once.
+
+    ``bandwidths``, when given, must be ``column_bandwidths`` of ``x``'s
+    columns, selected earlier by a caller that tests several column subsets
+    of one table (``discover.analyze`` selects each covariate's once); they
+    are not checked against ``x``.
 
     ``x`` is (n,) or (n, d) with finite non-constant columns; each ``e``
     is a finite (n,) vector.  Every input is checked before a kernel is
@@ -268,7 +285,7 @@ def hsic_tests(x, es) -> list[TestResult]:
         if np.ptp(x[:, j]) == 0.0:
             raise ConstantInput(f"column {j} of x is constant")
 
-    kc = _product_rbf_kernel(x)
+    kc = _product_rbf_kernel(x, bandwidths)
     mu_x = _off_diagonal_mean(kc)
     _center(kc)
     return [_hsic_against(kc, mu_x, e) for e in es]
@@ -359,18 +376,25 @@ def perm_significance(
     """Permutation-importance p-values, one per member of ``s``.
 
     ``refit(x, y)`` fits the class-appropriate model, and the model's
-    ``permutation_pieces(x, y)`` on the held-out rows returns two things:
+    ``permutation_pieces(x, y)`` on the held-out rows returns three things:
     a (d, m, P) array of per-column pieces that sum over the d columns to
     what the loss reads (thin-plate squared distances to the P centres,
-    Gaussian log-kernels to the P training rows), and ``loss(stack, pos,
-    perms)``, the held-out losses of a (B, m, P) stack of such sums, slice b
-    with column ``pos`` reordered by ``perms[b]``, as B floats; the loss may
-    overwrite ``stack``, and slice b's loss does not depend on the other
-    slices.  Every model refitted here supplies both, so permuting column
-    ``pos`` replaces one piece and no model is re-evaluated from scratch:
-    with rest = the sum of the other columns' pieces, formed once per
-    position, slice b is ``pieces[pos][perms[b]] + rest``.  The baseline is
-    the identity permutation of column 0.
+    Gaussian log-kernels to the P training rows); ``transform(stack)``,
+    which maps a stack of such sums elementwise, in place, and returns it
+    (r^2 log r^2 for the thin-plate splines, ``exp`` for the kernel-local
+    families); and ``score(stack, pos, perms)``, the held-out losses of a
+    (B, m, P) transformed stack, slice b with column ``pos`` reordered by
+    ``perms[b]``, as B floats.  The loss is ``score(transform(stack), pos,
+    perms)``; ``score`` may overwrite ``stack``, and slice b's loss does not
+    depend on the other slices.  Every model refitted here supplies all
+    three, so permuting column ``pos`` replaces one piece and no model is
+    re-evaluated from scratch: with rest = the sum of the other columns'
+    pieces, formed once per position, slice b is ``pieces[pos][perms[b]] +
+    rest``, transformed.  With one member rest is 0, and since the
+    transform is elementwise, slice b is the transformed piece gathered by
+    ``perms[b]``, bit for bit: that piece is transformed once per call and
+    each batch only gathered and scored.  The baseline is the identity
+    permutation of column 0.
 
     The permutations are drawn one at a time, in the same order for any B,
     and scored in batches of B, gathered by ``np.take`` into one stack
@@ -394,26 +418,35 @@ def perm_significance(
     x, y, half = data.covariates(s), data.y, data.n // 2
     order = seeding.substream(seed, seeding.SIG_SPLIT, *s.members).permutation(data.n)
     train, test = order[:half], order[half:]
-    pieces, loss = refit(x[train], y[train]).permutation_pieces(x[test], y[test])
+    pieces, transform, score = refit(x[train], y[train]).permutation_pieces(x[test], y[test])
     m = test.size
+    gather_only = len(s) == 1
+    if gather_only:
+        pieces = transform(pieces)
     batch = max(1, _BATCH_BYTES // pieces[0].nbytes)
     stack = np.empty((batch,) + pieces.shape[1:])
     perms = np.empty((batch, m), dtype=np.intp)
+
+    def losses(pos: int, rest, k: int) -> np.ndarray:
+        """The losses of column ``pos`` permuted by each of ``perms[:k]``."""
+        np.take(pieces[pos], perms[:k], axis=0, out=stack[:k], mode="clip")
+        if not gather_only:
+            stack[:k] += rest
+            transform(stack[:k])
+        return score(stack[:k], pos, perms[:k])
 
     p_values = np.empty(len(s))
     for pos, member in enumerate(s.members):
         rest = sum(pieces[j] for j in range(len(s)) if j != pos)  # 0 for one column
         if pos == 0:
-            np.add(pieces[0], rest, out=stack[0])
-            base = loss(stack[:1], 0, np.arange(m)[None])[0]
+            perms[0] = np.arange(m)
+            base = losses(0, rest, 1)[0]
         col_rng = seeding.substream(seed, seeding.SIG_PERM, member, *s.members)
         count = 0
         for done in range(0, n_perm, batch):
             k = min(batch, n_perm - done)
             for b in range(k):
                 perms[b] = col_rng.permutation(m)
-            np.take(pieces[pos], perms[:k], axis=0, out=stack[:k], mode="clip")
-            stack[:k] += rest
-            count += int(np.count_nonzero(loss(stack[:k], pos, perms[:k]) <= base))
+            count += int(np.count_nonzero(losses(pos, rest, k) <= base))
         p_values[pos] = (1 + count) / (n_perm + 1)
     return p_values

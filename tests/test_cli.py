@@ -83,6 +83,17 @@ class TestDiscover:
         assert main(args + [str(tmp_path / "r2.json")]) == 0
         assert _sha(tmp_path / "r1.json") == _sha(tmp_path / "r2.json")
 
+    def test_byte_order_mark_before_the_header(self, bench2_csv, tmp_path):
+        # spreadsheet exports often start with a UTF-8 BOM; the target is
+        # still found and the result is the one without the mark
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + open(bench2_csv, "rb").read())
+        args = ["--target", "Y", "--class", "linear", "--mode", "both", "--seed", "11", "--out"]
+        assert main(["discover", str(bom_csv)] + args + [str(tmp_path / "bom.json")]) == 0
+        assert main(["discover", str(bench2_csv)] + args + [str(tmp_path / "plain.json")]) == 0
+        assert _sha(tmp_path / "bom.json") == _sha(tmp_path / "plain.json")
+        assert load_csv(bom_csv, "Y").names == load_csv(bench2_csv, "Y").names
+
 
 class TestBench:
     def test_unknown_benchmark_exits_2(self, tmp_path):

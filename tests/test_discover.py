@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cause_sieve import discover, seeding
+from cause_sieve import discover, seeding, stattests
 from cause_sieve.discover import (
     DiscoveryResult,
     PlausibilityVerdict,
@@ -292,6 +292,19 @@ class TestDegenerateInput:
                 analyze(table(y, x), FunctionClass.parse(label), DiscoveryConfig(seed=0))
         assert calls == []
 
+    @pytest.mark.parametrize("label", ["location-scale", "cpcm:gaussian"])
+    def test_tiny_scale_fails_its_candidates(self, label):
+        # at scale 1e-160 the squared residuals and the sd-relative floor
+        # underflow to 0, so the log-variance target is -inf: each candidate
+        # fails with a StatError instead of the search raising, and without
+        # a RuntimeWarning (tier-1 turns those into errors)
+        rng = seeding.substream(7, 777)
+        x = rng.standard_normal((60, 2))
+        y = np.sin(x[:, 0]) + 0.5 * rng.standard_normal(60)
+        res = analyze(table(1e-160 * y, *(1e-160 * x).T), FunctionClass.parse(label), DiscoveryConfig(seed=0))
+        assert {v.reason for v in res.verdicts} == {"DegenerateTheta"}
+        assert res.isd_estimate == () and res.plausible_sets == []
+
     def test_linear_class_has_no_smoother_cap(self):
         rng = seeding.substream(5, 777)
         data = table(rng.standard_normal(40), *(rng.standard_normal(40) for _ in range(7)))
@@ -404,6 +417,26 @@ TARGET_KINDS = ["smooth", "ties", "pareto", "gamma"]
 # targets inside each positive family's support, so its fits run instead of
 # stopping at the support check
 SUPPORTED_TARGETS = {"gamma": ["pareto", "gamma"], "pareto": ["pareto"]}
+
+
+def test_one_bandwidth_selection_per_covariate(monkeypatch):
+    # p = 4: each covariate's bandwidth once, then one per candidate's noise
+    # vector, 4 + 15 selections, on one thread and on two
+    calls = []
+    median_bandwidth = stattests._median_bandwidth
+
+    def counting(col):
+        calls.append(col.size)
+        return median_bandwidth(col)
+
+    monkeypatch.setattr(stattests, "_median_bandwidth", counting)
+    data = gen_benchmark1(5, 150).data
+    assert data.p == 4
+    for threads in (1, 2):
+        use_threads(monkeypatch, threads)
+        calls.clear()
+        analyze(data, FunctionClass("linear"), DiscoveryConfig(seed=5))
+        assert len(calls) == 4 + 15
 
 
 class TestDegenerateTables:

@@ -451,9 +451,9 @@ def _permuted_loss(model, x, y, pos, perm):
     """The held-out loss with column ``pos`` of ``x`` reordered by ``perm``,
     summed from the model's permutation pieces as perm_significance sums
     them, scored as a batch of one."""
-    pieces, loss = model.permutation_pieces(x, y)
+    pieces, transform, score = model.permutation_pieces(x, y)
     rest = sum(pieces[j] for j in range(len(pieces)) if j != pos)
-    return loss((pieces[pos][perm] + rest)[None], pos, perm[None])[0]
+    return score(transform((pieces[pos][perm] + rest)[None]), pos, perm[None])[0]
 
 
 def _baseline(model, x, y):
@@ -555,10 +555,12 @@ class TestPermutationEvaluator:
 
 class _RecordingRefit:
     """A refit for ``perm_significance`` that fits ``model_cls`` and records
-    the held-out rows, the pieces and every batch its loss scores."""
+    the held-out rows, a copy of the pieces (a one-member call transforms
+    them in place), the shape of every stack transformed and every batch
+    scored."""
 
     def __init__(self, model_cls):
-        self.model_cls, self.batches = model_cls, []
+        self.model_cls, self.transformed, self.batches = model_cls, [], []
 
     def __call__(self, x, y):
         self.model = self.model_cls(x, y)
@@ -566,14 +568,19 @@ class _RecordingRefit:
 
     def permutation_pieces(self, x, y):
         self.x, self.y = x, y
-        self.pieces, loss = self.model.permutation_pieces(x, y)
+        pieces, transform, score = self.model.permutation_pieces(x, y)
+        self.pieces = pieces.copy()
 
-        def recording(stack, pos, perms):
-            losses = loss(stack, pos, perms)
+        def recording_transform(stack):
+            self.transformed.append(stack.shape)
+            return transform(stack)
+
+        def recording_score(stack, pos, perms):
+            losses = score(stack, pos, perms)
             self.batches.append((pos, perms.copy(), np.array(losses)))
             return losses
 
-        return self.pieces, recording
+        return pieces, recording_transform, recording_score
 
 
 def _one_at_a_time(model, pieces, x, y, pos, perm):
@@ -621,6 +628,10 @@ class TestBatchedPermutedLosses:
             sizes = [perms.shape[0] for _, perms, _ in refit.batches]
             assert sum(sizes) == 1 + d * n_perm and max(sizes) > 1
             assert n_perm % max(sizes) in sizes  # a short last batch
+            if d == 1:  # the piece is transformed once, each batch only gathered
+                assert refit.transformed == [refit.pieces.shape]
+            else:
+                assert [shape[0] for shape in refit.transformed] == sizes
             got = np.concatenate([losses for _, _, losses in refit.batches])
             want = [
                 _one_at_a_time(refit.model, refit.pieces, refit.x, refit.y, pos, perm)

@@ -15,10 +15,12 @@ from cause_sieve.stattests import (
     _median_bandwidth,
     _product_rbf_kernel,
     ad_uniform_test,
+    column_bandwidths,
     gaussian_log_kernel,
     hsic_test,
     hsic_tests,
     perm_significance,
+    squared_differences,
 )
 
 from conftest import table
@@ -266,6 +268,39 @@ class TestMedianBandwidth:
         finally:
             tracemalloc.stop()
         assert peak < 32 * n * 8
+
+
+class TestBandwidths:
+    def test_given_bandwidths_give_the_same_test(self):
+        rng = seeding.substream(0, 924)
+        x = rng.standard_normal((150, 3))
+        e = x[:, 0] ** 2 + rng.standard_normal(150)
+        assert hsic_test(x, e, column_bandwidths(x)) == hsic_test(x, e)
+        assert column_bandwidths(x) == [_median_bandwidth(x[:, j]) for j in range(3)]
+
+
+class TestSquaredDifferences:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bits_of_subtract_outer(self, d):
+        # the reference: whole (m, n) columns from np.subtract.outer, squared,
+        # divided and added in column order; m around the row block
+        rng = seeding.substream(d, 923)
+        b = rng.standard_normal((170, d)) * rng.uniform(0.1, 10.0, d)
+        denoms = -2.0 * (0.3 + rng.random(d)) ** 2
+        for m in (1, 127, 128, 129, 300):
+            a = rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0, d)
+            for divide in (None, denoms):
+                for j in range(d):
+                    diff = np.subtract.outer(a[:, j], b[:, j])
+                    diff *= diff
+                    if divide is not None:
+                        diff /= divide[j]
+                    expected = diff if j == 0 else expected + diff
+                got = squared_differences(a, b, divide)
+                assert got.tobytes() == expected.tobytes(), (m, divide is None)
+                out = np.full((m, 170), np.nan)
+                assert squared_differences(a, b, divide, out) is out
+                assert out.tobytes() == expected.tobytes(), (m, divide is None)
 
 
 class TestGaussianLogKernel:
