@@ -27,7 +27,11 @@ from .model import (
 )
 from .parallel import thread_map
 from .regress import EPS_CLIP, MODELS, PENALTY_GRID, SMOOTHER_DIM_CAP, recover_noise
-from .stattests import LOG_P_FLOOR, SIG_PERMUTATIONS, TestResult, ad_uniform_test, column_bandwidths, hsic_test
+from .stattests import LOG_P_FLOOR, SIG_PERMUTATIONS, TestResult, ad_uniform_test, column_bandwidths
+
+# analyze reaches HSIC through this name, so a profiler that wraps
+# ``discover.hsic_test`` (perfbench/run.py) times every candidate's test
+from .stattests import _hsic_test as hsic_test
 
 NEG_INF = float("-inf")
 
@@ -71,19 +75,20 @@ class DiscoveryResult:
 
 
 def check_plausibility(
-    data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig | None = None, *, bandwidths=None
+    data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig | None = None
 ) -> PlausibilityVerdict:
-    """Run the class-appropriate noise recovery and answer the three questions.
+    """Run the class-appropriate noise recovery and answer the three questions."""
+    return _check_plausibility(data, s, f_class, cfg or DiscoveryConfig(), column_bandwidths(data.covariates(s)))
 
-    ``bandwidths`` are the HSIC bandwidths of all of ``data``'s covariates,
-    ``column_bandwidths(data.values[:, 1:])``, which ``analyze`` selects
-    once per table; when None, those of the members of ``s`` are selected
-    here.  Either way the test sees the same floats."""
-    cfg = cfg or DiscoveryConfig()
+
+def _check_plausibility(
+    data: Dataset, s: CandidateSet, f_class: FunctionClass, cfg: DiscoveryConfig, bandwidths: list[float]
+) -> PlausibilityVerdict:
+    """:func:`check_plausibility` with the HSIC bandwidths of the members of
+    ``s`` given, in member order, as ``column_bandwidths`` selects them."""
     try:
         recovery = recover_noise(data, s, f_class, seed=seeding.child_seed(cfg.seed, f_class.code))
-        member_bandwidths = None if bandwidths is None else [bandwidths[m - 1] for m in s.members]
-        indep = hsic_test(data.covariates(s), recovery.residuals, member_bandwidths)
+        indep = hsic_test(data.covariates(s), recovery.residuals, bandwidths)
         # only the parametric class asks the uniformity question; the rest answer p = 1
         p_dist = ad_uniform_test(recovery.eps).p_value if MODELS[f_class.key].parametric else 1.0
     except StatError as exc:
@@ -160,7 +165,10 @@ def analyze(
     model_cls.check_support(data.y)
 
     bandwidths = column_bandwidths(data.values[:, 1:])
-    evaluate = partial(check_plausibility, data, f_class=f_class, cfg=cfg, bandwidths=bandwidths)
+
+    def evaluate(s: CandidateSet) -> PlausibilityVerdict:
+        return _check_plausibility(data, s, f_class, cfg, [bandwidths[m - 1] for m in s.members])
+
     # enumerate_candidates ascends in |S|, so the reversed list starts the
     # largest, slowest fits first and the threads finish close together
     verdicts = thread_map(evaluate, enumerate_candidates(data.p)[::-1])[::-1]

@@ -247,9 +247,9 @@ class _LocationScaleModel(_MeanSmoother):
         self.floor = 1e-6 * max(float(np.std(y)), _TINY)
         mu = _Spline(kernel, self.centres, y)
         resid = y - mu.fitted
-        # squares past the float range give an infinite log variance; at
-        # tiny scales squares and floor underflow to 0 and give -inf
-        with np.errstate(over="ignore", divide="ignore"):
+        # at tiny scales squares and floor underflow to 0 and give -inf;
+        # squares past the float range warn of the overflow and give +inf
+        with np.errstate(divide="ignore"):
             logvar = np.log(resid * resid + self.floor**2)
         if not np.all(np.isfinite(logvar)):
             raise DegenerateTheta("log squared residuals are not finite: the residual scale is outside the float range")

@@ -205,16 +205,15 @@ def column_bandwidths(x: np.ndarray) -> list[float]:
     return [_median_bandwidth(x[:, j]) for j in range(x.shape[1])]
 
 
-def _product_rbf_kernel(x: np.ndarray, bandwidths=None) -> np.ndarray:
-    """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2)), one
-    median-heuristic bandwidth per column (``column_bandwidths(x)`` unless
-    given).
+def _product_rbf_kernel(x: np.ndarray, bandwidths) -> np.ndarray:
+    """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2)), with the
+    median-heuristic ``bandwidths`` of ``x``'s columns.
 
     The bandwidths are selected first, in O(n) memory each; then one
     (n, n) array is allocated, the log-kernel built in it and
     exponentiated in place.
     """
-    k = gaussian_log_kernel(x, x, column_bandwidths(x) if bandwidths is None else bandwidths)
+    k = gaussian_log_kernel(x, x, bandwidths)
     return np.exp(k, out=k)
 
 
@@ -235,21 +234,16 @@ def _center(k: np.ndarray) -> None:
     k -= k.mean(axis=1, keepdims=True)
 
 
-def hsic_test(x, e, bandwidths=None) -> TestResult:
+def hsic_test(x, e) -> TestResult:
     """HSIC independence test between a covariate block and a noise vector:
     the one-vector case of :func:`hsic_tests`."""
-    return hsic_tests(x, [e], bandwidths)[0]
+    return hsic_tests(x, [e])[0]
 
 
-def hsic_tests(x, es, bandwidths=None) -> list[TestResult]:
+def hsic_tests(x, es) -> list[TestResult]:
     """HSIC independence tests of one covariate block against each of
     several noise vectors, ``[hsic_test(x, e) for e in es]``, with the
     kernel of ``x`` built once.
-
-    ``bandwidths``, when given, must be ``column_bandwidths`` of ``x``'s
-    columns, selected earlier by a caller that tests several column subsets
-    of one table (``discover.analyze`` selects each covariate's once); they
-    are not checked against ``x``.
 
     ``x`` is (n,) or (n, d) with finite non-constant columns; each ``e``
     is a finite (n,) vector.  Every input is checked before a kernel is
@@ -264,6 +258,21 @@ def hsic_tests(x, es, bandwidths=None) -> list[TestResult]:
     centered kernels overwrites the noise kernel, which is released before
     the next noise vector's kernel is built.
     """
+    x, es = _checked_hsic_inputs(x, es)
+    return _hsic_kernel_tests(x, es, column_bandwidths(x))
+
+
+def _hsic_test(x, e, bandwidths: list[float]) -> TestResult:
+    """``hsic_test(x, e)`` with ``bandwidths = column_bandwidths(x)`` given:
+    ``discover.analyze`` selects each covariate's once per table and tests
+    many column subsets of it.  They are not checked against ``x``."""
+    x, es = _checked_hsic_inputs(x, [e])
+    return _hsic_kernel_tests(x, es, bandwidths)[0]
+
+
+def _checked_hsic_inputs(x, es) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``x`` as an (n, d) float array and each ``e`` as an (n,) one, after
+    the checks :func:`hsic_tests` states."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -284,7 +293,12 @@ def hsic_tests(x, es, bandwidths=None) -> list[TestResult]:
     for j in range(x.shape[1]):
         if np.ptp(x[:, j]) == 0.0:
             raise ConstantInput(f"column {j} of x is constant")
+    return x, es
 
+
+def _hsic_kernel_tests(x: np.ndarray, es: list[np.ndarray], bandwidths) -> list[TestResult]:
+    """The tests of checked inputs, with the kernel of ``x`` built from
+    ``bandwidths``."""
     kc = _product_rbf_kernel(x, bandwidths)
     mu_x = _off_diagonal_mean(kc)
     _center(kc)
@@ -295,7 +309,7 @@ def _hsic_against(kc: np.ndarray, mu_x: float, e: np.ndarray) -> TestResult:
     """The test of one noise vector against ``kc``, the centered kernel of
     the covariates, whose uncentered off-diagonal mean is ``mu_x``."""
     n = e.size
-    kl = _product_rbf_kernel(e[:, None])
+    kl = _product_rbf_kernel(e[:, None], [_median_bandwidth(e)])
     mu_y = _off_diagonal_mean(kl)
     _center(kl)
     kl *= kc

@@ -325,13 +325,13 @@ def _one_and_two_threads(monkeypatch, *args):
     """``analyze(*args)`` on one thread, then on two, checking that each run
     evaluated its candidates on the threads it was given."""
     ran_on = []
-    real = discover.check_plausibility
+    real = discover._check_plausibility
 
     def recorded(*a, **kw):
         ran_on.append(threading.get_ident())
         return real(*a, **kw)
 
-    monkeypatch.setattr(discover, "check_plausibility", recorded)
+    monkeypatch.setattr(discover, "_check_plausibility", recorded)
     use_threads(monkeypatch, 1)
     one = analyze(*args)
     assert set(ran_on) == {threading.get_ident()}
