@@ -209,9 +209,9 @@ def _product_rbf_kernel(x: np.ndarray, bandwidths) -> np.ndarray:
     """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2)), with the
     median-heuristic ``bandwidths`` of ``x``'s columns.
 
-    The bandwidths are selected first, in O(n) memory each; then one
-    (n, n) array is allocated, the log-kernel built in it and
-    exponentiated in place.
+    The bandwidths are selected before the call, in O(n) memory each; one
+    (n, n) array is allocated, the log-kernel built in it and exponentiated
+    in place.
     """
     k = gaussian_log_kernel(x, x, bandwidths)
     return np.exp(k, out=k)
