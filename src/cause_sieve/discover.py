@@ -140,8 +140,9 @@ def analyze(
     The candidates are evaluated on :func:`parallel.thread_map`, the largest
     sets started first: on one thread inside a worker process or a
     ``thread_map`` worker, else on ``min(DEFAULT_THREADS, available_cores())``.
-    The spline solves may also start BLAS threads of their own in each thread
-    unless ``OPENBLAS_NUM_THREADS=1`` is set.  Each candidate seeds its own
+    The spline solves release the interpreter lock, so two threads can be in
+    OpenBLAS at once, and each may start BLAS threads of its own unless
+    ``OPENBLAS_NUM_THREADS=1`` is set.  Each candidate seeds its own
     substreams, so the verdicts and the result JSON do not depend on the
     thread count.  A ``StatError`` marks its candidate implausible; any other
     exception stops the search and is raised here after every worker thread

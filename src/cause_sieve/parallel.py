@@ -15,9 +15,14 @@ against one:
   two four-member candidates runs x1.5 faster on two threads than in
   turn, and x1.1-1.2 when each permutation is scored alone, its two dozen
   small calls each taking the lock back;
-- scipy's LAPACK ``dgesv``, the spline solve, holds it: at n = 500 two
-  threads give x0.9 where two processes give x1.9, and ``np.linalg.solve``
-  does no better.
+- the spline solve, LAPACK ``dgesv``, releases it as ``regress`` calls it,
+  through scipy's ``cython_lapack`` pointer: at n = 500 two threads run
+  twice the solves in x0.97-1.37 the time one thread takes, against
+  x1.64-2.59 for scipy's f2py ``dgesv``, which holds the lock.
+  ``np.linalg.solve`` would release it too, but links numpy's own OpenBLAS
+  (0.3.31 ILP64, where scipy links 0.3.30): in its place the spline's
+  bits moved, and a ``b1-additive`` table took a median 0.82 s on two
+  threads against 0.67 s.
 
 One rule sets the thread count, and no caller passes one: a
 :func:`thread_map` already inside a parallel unit, a worker process (the

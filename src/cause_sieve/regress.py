@@ -34,8 +34,13 @@ splines on it (two for the location-scale class); the CV and the
 permutation losses use that kernel's coefficient layout, and the
 permutation pieces are the same squared differences, unsummed
 (``stattests.column_pieces``).  Each spline solves the saddle system
-[[K + lambda I, P], [P', 0]] (Wahba 1990).  The parametric class uses the
-location-scale fit for the Gaussian family and kernel-local maximum
+[[K + lambda I, P], [P', 0]] (Wahba 1990) with scipy's LAPACK ``dgesv``,
+whose C pointer ``scipy.linalg.cython_lapack`` publishes.  Called through
+ctypes, it is the routine and library that scipy's f2py ``dgesv`` wraps and
+gives the same bits, but it releases the interpreter lock, which the f2py
+wrapper holds, so the solves of candidates on different threads overlap.
+The pointer's C signature is checked at import.  The parametric class uses
+the location-scale fit for the Gaussian family and kernel-local maximum
 likelihood or moment matching with Silverman bandwidths for the Pareto and
 Gamma families, whose kernel weights are ``stattests.gaussian_log_kernel``
 exponentiated.
@@ -49,8 +54,11 @@ import time.
 
 from __future__ import annotations
 
+import ctypes
+import re
+
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from scipy.linalg import cython_lapack
 from scipy.special import gammainc, gammaln, ndtr, stdtr
 
 from . import stattests
@@ -125,6 +133,54 @@ def _spline_values(kernel: np.ndarray, xn: np.ndarray, coeffs: np.ndarray) -> np
     return _slice_dot(kernel, coeffs[:n_centres]) + (coeffs[n_centres] + _slice_dot(xn, coeffs[n_centres + 1 :]))
 
 
+_DGESV_SIGNATURE = "void (int *, int *, double *, int *, int *, double *, int *, int *)"
+_INT_P = ctypes.POINTER(ctypes.c_int)
+# a CFUNCTYPE call releases the interpreter lock (a PYFUNCTYPE one would keep it)
+_DGESV_PROTOTYPE = ctypes.CFUNCTYPE(
+    None, _INT_P, _INT_P, ctypes.c_void_p, _INT_P, ctypes.c_void_p, ctypes.c_void_p, _INT_P, _INT_P
+)
+
+
+def _check_dgesv_signature(name: str) -> None:
+    """``ImportError`` unless the capsule ``name`` (scipy's typedef ``d`` is
+    double) is ``_DGESV_SIGNATURE`` and C ``int`` has 32 bits: a LAPACK with
+    64-bit integers would read past each ``c_int`` passed to it."""
+    if re.sub(r"\b__pyx_t_\w+_d\b", "double", name) != _DGESV_SIGNATURE or ctypes.sizeof(ctypes.c_int) != 4:
+        raise ImportError(f"scipy's cython_lapack dgesv is {name!r}, not {_DGESV_SIGNATURE!r} with a 32-bit int")
+
+
+def _capsule_dgesv():
+    """scipy's LAPACK ``dgesv`` from its ``cython_lapack`` pointer table, as a
+    ctypes function of ``_DGESV_PROTOTYPE``."""
+    capsule = cython_lapack.__pyx_capi__["dgesv"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    _check_dgesv_signature(name.decode())
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return _DGESV_PROTOTYPE(get_pointer(capsule, name))
+
+
+_dgesv = _capsule_dgesv()
+
+
+def _lu_solve(a: np.ndarray, b: np.ndarray) -> int:
+    """LAPACK ``dgesv`` on the Fortran-ordered (n, n) ``a`` and the n-vector
+    ``b``, both float64, in place: ``a`` ends as its LU factors and ``b`` as the
+    solution.  Returns ``info``, > 0 when ``a`` is singular."""
+    n = b.size
+    if a.shape != (n, n) or b.shape != (n,) or a.dtype != np.float64 or b.dtype != np.float64:
+        raise ValueError(f"dgesv needs (n, n) and (n,) float64 arrays, got {a.shape} {a.dtype}, {b.shape} {b.dtype}")
+    if not (a.flags.f_contiguous and a.flags.writeable and b.flags.contiguous and b.flags.writeable):
+        raise ValueError("dgesv needs a writeable Fortran-ordered matrix and a writeable contiguous vector")
+    ipiv = np.empty(n, dtype=np.intc)
+    order, nrhs, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int(0)
+    _dgesv(order, nrhs, a.ctypes.data, order, ipiv.ctypes.data, b.ctypes.data, order, info)
+    if info.value < 0:
+        raise ValueError(f"dgesv: argument {-info.value} has an illegal value")
+    return info.value
+
+
 def _solve_spline(kernel: np.ndarray, xn: np.ndarray, yn: np.ndarray, penalty: float) -> np.ndarray:
     """[a; b] solving [[K + penalty I, P], [P', 0]] [a; b] = [yn; 0], P = [1, xn], in place
     by LU; ``RankDeficient`` for fewer rows than columns of P or collinear covariates."""
@@ -136,8 +192,8 @@ def _solve_spline(kernel: np.ndarray, xn: np.ndarray, yn: np.ndarray, penalty: f
     lhs[np.diag_indices(n)] += penalty
     lhs[:n, n], lhs[:n, n + 1 :] = 1.0, xn
     lhs[n:, :n] = lhs[:n, n:].T
-    coeffs, info = dgesv(lhs, np.concatenate([yn, np.zeros(d + 1)]), overwrite_a=True, overwrite_b=True)[2:]
-    if info > 0:
+    coeffs = np.concatenate([yn, np.zeros(d + 1)])
+    if _lu_solve(lhs, coeffs) > 0:
         raise RankDeficient("spline system is singular (collinear covariates)")
     return coeffs
 

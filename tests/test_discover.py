@@ -358,6 +358,14 @@ class TestJobs:
         assert all(_same_verdict(a, b) for a, b in zip(one.verdicts, two.verdicts, strict=True))
         assert result_to_json(one) == result_to_json(two)
 
+    def test_threads_match_one_thread_at_n500(self, monkeypatch):
+        """At n = 500 OpenBLAS may thread the spline's LU, and two candidate
+        threads can be inside it at once."""
+        data = gen_benchmark1(5, 500).data
+        one, two = _one_and_two_threads(monkeypatch, data, FunctionClass("additive"), DiscoveryConfig(seed=5))
+        assert all(_same_verdict(a, b) for a, b in zip(one.verdicts, two.verdicts, strict=True))
+        assert result_to_json(one) == result_to_json(two)
+
     def test_rank_deficient_candidates_match(self, monkeypatch):
         rng = seeding.substream(3, 778)
         x1, x3 = rng.standard_normal(100), rng.standard_normal(100)

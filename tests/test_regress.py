@@ -1,10 +1,13 @@
+import ctypes
 import hashlib
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.interpolate import RBFInterpolator
+from scipy.linalg.lapack import dgesv
 from scipy.spatial.distance import cdist
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
@@ -303,9 +306,75 @@ class TestFitCpcm:
         assert passes >= 7
 
 
+def _saddle_system(x, y, penalty):
+    """The spline's standardized covariates, response and kernel, with the
+    system ``_solve_spline`` solves for them, written out here."""
+    xn, yn = (x - x.mean(axis=0)) / x.std(axis=0), (y - y.mean()) / y.std()
+    kernel = regress._thin_plate(stattests.squared_differences(xn, xn))
+    n, d = xn.shape
+    lhs = np.zeros((n + d + 1, n + d + 1), order="F")
+    lhs[:n, :n] = kernel
+    lhs[np.diag_indices(n)] += penalty
+    lhs[:n, n], lhs[:n, n + 1 :] = 1.0, xn
+    lhs[n:, :n] = lhs[:n, n:].T
+    return xn, yn, kernel, lhs, np.concatenate([yn, np.zeros(d + 1)])
+
+
 class TestScipyEquivalence:
-    """The package's stand-ins for scipy.stats and scipy.spatial agree with
-    them bit for bit."""
+    """The package's stand-ins for scipy.stats, scipy.spatial and scipy's
+    f2py LAPACK agree with them bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [20, 125, 250, 500])
+    def test_spline_solve_is_f2py_dgesv(self, n, d):
+        rng = seeding.substream(n + d, 912)
+        x = rng.standard_normal((n, d))
+        y = np.sin(x.sum(axis=1)) + 0.3 * rng.standard_normal(n)
+        for penalty in (PENALTY_GRID[0], PENALTY_GRID[-1]):
+            xn, yn, kernel, lhs, rhs = _saddle_system(x, y, penalty)
+            expected, info = dgesv(lhs.copy(order="F"), rhs.copy())[2:]
+            assert info == 0
+            assert regress._solve_spline(kernel, xn, yn, penalty).tobytes() == expected.tobytes()
+
+    def test_singular_spline_system_is_rank_deficient(self):
+        rng = seeding.substream(0, 913)
+        x = rng.standard_normal((60, 3))
+        x[:, 2] = x[:, 0]
+        xn, yn, kernel, lhs, rhs = _saddle_system(x, np.cos(x[:, 0]) + rng.standard_normal(60), 1.0)
+        assert dgesv(lhs.copy(order="F"), rhs.copy())[3] > 0
+        assert regress._lu_solve(lhs.copy(order="F"), rhs.copy()) > 0
+        with pytest.raises(RankDeficient, match="singular"):
+            regress._solve_spline(kernel, xn, yn, 1.0)
+
+    def test_lu_solve_refuses_arrays_it_cannot_pass(self):
+        a, b = np.eye(3, order="F"), np.ones(3)
+        for bad_a, bad_b in ((np.eye(3, order="C"), b), (a, np.ones(4)), (a, b.astype(np.float32))):
+            with pytest.raises(ValueError):
+                regress._lu_solve(bad_a, bad_b)
+        assert regress._lu_solve(a, b) == 0 and np.array_equal(b, np.ones(3))
+
+    def test_dgesv_abi_guard(self):
+        """The capsule's signature is checked at import, and the call drops
+        the interpreter lock."""
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+        good = name(regress.cython_lapack.__pyx_capi__["dgesv"]).decode()
+        regress._check_dgesv_signature(good)
+        regress._check_dgesv_signature(regress._DGESV_SIGNATURE)
+        d = "__pyx_t_5scipy_6linalg_13cython_lapack_d"
+        for bad in (
+            good.replace("int *", "int64_t *"),
+            good.replace("int *", "long *", 1),
+            f"void (int *, int *, {d} *, int *, int *, {d} *, int *)",
+            f"void ({d} *, int *, {d} *, int *, int *, {d} *, int *, int *)",
+            f"int (int *, int *, {d} *, int *, int *, {d} *, int *, int *)",
+            f"void (int *, int *, float *, int *, int *, float *, int *, int *)",
+        ):
+            with pytest.raises(ImportError, match=re.escape(repr(bad))):
+                regress._check_dgesv_signature(bad)
+        assert issubclass(regress._DGESV_PROTOTYPE, ctypes._CFuncPtr)
+        assert isinstance(regress._dgesv, regress._DGESV_PROTOTYPE)
+        assert regress._DGESV_PROTOTYPE._flags_ & ctypes._FUNCFLAG_CDECL
+        assert not regress._DGESV_PROTOTYPE._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_squared_distances_are_cdist(self, d):
