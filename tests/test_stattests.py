@@ -125,11 +125,15 @@ class TestHsic:
             return stat, 1.0
         return stat, float(gammaincc(mean * mean / var, max(stat, 0.0) / (n * var / mean)))
 
-    @pytest.mark.parametrize("n", [20, 200, 2000])
+    @pytest.mark.parametrize("n", [20, 200, 777, 2000])
     def test_matches_textbook_construction(self, n):
-        # bit for bit, ties included, for a one- and a three-column block
+        # bit for bit, ties included, for blocks of one to four columns; the
+        # kernels are one row block at n = 20 and 200, and several with a
+        # shorter last one at n = 777 and 2000
+        blocks = stattests._row_blocks(n)
+        assert len({hi - lo for lo, hi in blocks}) == (1 if n <= 200 else 2), blocks
         rng = seeding.substream(n, 921)
-        for d in (1, 3):
+        for d in (1, 3, 2, 4):
             x = np.round(rng.standard_normal((n, d)), 1)
             e = np.round(x[:, 0] ** 2 + rng.standard_normal(n), 1)
             res = hsic_test(x, e)
@@ -156,6 +160,14 @@ class TestHsic:
         es = [x[:, 0] ** 2 + rng.standard_normal(300), rng.standard_normal(300), np.round(x[:, 1], 1)]
         assert hsic_tests(x, es) == [hsic_test(x, e) for e in es]
         assert hsic_tests(x, []) == []
+
+    def test_several_noise_vectors_match_one_at_a_time_in_blocks(self):
+        # at n = 2000 the covariate kernel, centered once in row blocks, is
+        # read by three products
+        rng = seeding.substream(4, 923)
+        x = np.round(rng.standard_normal((2000, 3)), 2)
+        es = [x[:, 0] * x[:, 1] + rng.standard_normal(2000), rng.standard_normal(2000), np.round(x[:, 2], 1)]
+        assert hsic_tests(x, es) == [hsic_test(x, e) for e in es]
 
     def test_every_noise_vector_checked_first(self):
         x = np.random.default_rng(9).standard_normal(50)
@@ -185,6 +197,39 @@ class TestHsic:
         finally:
             tracemalloc.stop()
         assert peak < 2.1 * n * n * 8
+
+    @pytest.mark.parametrize("d, count", [(4, 1), (2, 3)])
+    def test_holds_two_kernel_arrays_with_more_columns_or_noise(self, d, count):
+        # the row-block scratch of a four-column kernel, and three noise
+        # kernels released in turn, fit in the same margin
+        n = 1000
+        rng = seeding.substream(d, 924)
+        x = rng.standard_normal((n, d))
+        es = [x[:, i % d] + rng.standard_normal(n) for i in range(count)]
+        tracemalloc.start()
+        try:
+            hsic_tests(x, es)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * n * n * 8
+
+
+class TestCarriedColumnSums:
+    @pytest.mark.parametrize("n", [37, 500])
+    @pytest.mark.parametrize("rows", [7, 32])
+    def test_bytes_of_column_sums(self, n, rows):
+        # running sums carried block by block, ragged last block included,
+        # are np.sum(k, axis=0) byte for byte, and k is left as it was
+        rng = seeding.substream(n, 928)
+        k = np.exp(-rng.exponential(3.0, (n, n)))
+        before = k.copy()
+        sums, held = np.empty(n), np.empty(n)
+        for lo in range(0, n, rows):
+            stattests._carry_column_sums(k, lo, min(lo + rows, n), sums, held)
+            assert sums.tobytes() == np.sum(k[: lo + rows], axis=0).tobytes(), lo
+        assert sums.tobytes() == np.sum(k, axis=0).tobytes()
+        assert k.tobytes() == before.tobytes()
 
 
 def _textbook_median(col):
