@@ -42,8 +42,7 @@ wrapper holds, so the solves of candidates on different threads overlap.
 The pointer's C signature is checked at import.  The parametric class uses
 the location-scale fit for the Gaussian family and kernel-local maximum
 likelihood or moment matching with Silverman bandwidths for the Pareto and
-Gamma families, whose kernel weights are ``stattests.gaussian_log_kernel``
-exponentiated.
+Gamma families, whose kernel weights are ``stattests.gaussian_kernel``.
 
 The Gamma CDF is ``scipy.special.gammainc(shape, y / scale)`` and the
 linear slopes' t tail is ``scipy.special.stdtr(dof, -|t|)``: the functions
@@ -402,10 +401,8 @@ class _KernelLocalModel(_Model):
 
     def theta(self, x_ev: np.ndarray):
         """Local parameters at the evaluation points (see ``_local_params``)
-        from the Gaussian log-kernel to the training rows, one (m, n) array
-        exponentiated in place."""
-        logw = stattests.gaussian_log_kernel(x_ev, self.x_train, self.bandwidths)
-        return self._local_params(np.exp(logw, out=logw))
+        from the Gaussian kernel weights to the training rows."""
+        return self._local_params(stattests.gaussian_kernel(x_ev, self.x_train, self.bandwidths))
 
     def noise(self, y: np.ndarray):
         """The parametric transform at the training rows, clipped strictly

@@ -1,21 +1,23 @@
 """Statistical tests: HSIC independence, uniformity, permutation significance,
 and the kernel layer under them and under the fits in ``regress``: one
 builder of per-column pairwise squared differences, which with the
-denominators -2 h^2 is the Gaussian log-kernel.
+denominators -2 h^2 is the Gaussian log-kernel, and one builder of the
+Gaussian kernel on top of it.
 
 The HSIC statistic is the biased V-statistic with Gaussian RBF kernels,
 reported on the n*HSIC scale.  The kernel on a multi-column block is the
 product of univariate RBF kernels, one bandwidth per column by the median
 heuristic.  P-values come from the Gamma moment-matching approximation.
 
-Two loops work in row blocks, and both keep the floats of the whole-array
-steps.  :func:`squared_differences` adds each column after the first in
-blocks of ``_KERNEL_BLOCK_ROWS`` rows, so it needs no second (m, n) array.
-The HSIC kernels go through blocks of ``_HSIC_BLOCK_BYTES``, so each block
-stays in cache while it is built, exponentiated and added to the column
-sums, and again while it is centered and multiplied; the product is divided
-and squared in a third pass.  Only the sums over a whole kernel read it
-outside the blocks.
+One rule, :func:`_row_blocks`, cuts every (m, n) kernel into row blocks of
+``_BLOCK_BYTES``, and every blocked loop keeps the floats of the
+whole-array steps.  :func:`squared_differences` adds each further column
+to a block in one scratch block, so it needs no second (m, n) array.
+:func:`gaussian_kernel` builds each block, exponentiates it and, for HSIC,
+adds it to the column sums while it is in cache; an HSIC kernel goes
+through its blocks again while it is centered and multiplied, and the
+product is divided and squared in a third pass.  Only the sums over a
+whole kernel read it outside the blocks.
 """
 
 from __future__ import annotations
@@ -152,7 +154,18 @@ def _cut(s: np.ndarray, start: np.ndarray, t) -> tuple[np.ndarray, int]:
     return b, int((b - start).sum())
 
 
-_KERNEL_BLOCK_ROWS = 128  # rows per block when a further column joins the sum
+# Bytes of one row block of an (m, n) kernel.  Every kernel is built, and
+# an (n, n) HSIC kernel then centered, one block at a time, so a block stays
+# in cache through every step of a pass: 32 rows at n = 2000, and an (n, n)
+# kernel with n <= 256 is a single block.  At n = 2000, on a core with 2 MiB
+# of L2, blocks of 8 or 128 rows made an HSIC test 5-10% slower.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _row_blocks(m: int, n: int) -> list[tuple[int, int]]:
+    """The [lo, hi) row ranges of the blocks of an (m, n) kernel, in order."""
+    step = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
 def squared_differences(a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarray | None = None) -> np.ndarray:
@@ -161,33 +174,32 @@ def squared_differences(a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarr
     ``denoms[j]`` when given.
 
     The columns are added in order, as scipy's ``cdist(a, b,
-    "sqeuclidean")`` adds them.  The first is built in ``out`` (a new array
-    when None); each further column is built block by block of rows in one
-    scratch block and added, so no second (m, n) array exists.  A block
+    "sqeuclidean")`` adds them.  Each row block of ``out`` (a new array
+    when None) takes the first column and then each further one, built in
+    one scratch block and added, so no second (m, n) array exists.  A block
     row i is a_ij copied across the row and b_kj subtracted in place: the
     same rounded a_ij - b_kj as ``np.subtract.outer``, in about two thirds
     of its time at n = 2000.  Each column of ``b`` is read contiguously,
-    copied once when ``b`` is C-ordered with several columns: at n = 2000
-    subtracting a strided column from a block in cache took 1.4 times as
-    long, and a whole column's build a tenth longer.
+    from a Fortran-ordered copy when ``b`` is C-ordered with several
+    columns: at n = 2000 subtracting a strided column from a block in cache
+    took 1.4 times as long, and a whole column's build a tenth longer.
     """
     m, n = a.shape[0], b.shape[0]
     if out is None:
         out = np.empty((m, n))
-    scratch = np.empty((min(m, _KERNEL_BLOCK_ROWS), n)) if a.shape[1] > 1 else None
-    for j in range(a.shape[1]):
-        col = np.ascontiguousarray(b[:, j])
-        step = _KERNEL_BLOCK_ROWS if j else max(m, 1)
-        for lo in range(0, m, step):
-            rows = a[lo : lo + step, j, None]
-            d = scratch[: rows.shape[0]] if j else out
-            np.copyto(d, rows)
-            d -= col
+    cols = np.asfortranarray(b)
+    blocks = _row_blocks(m, n)
+    scratch = np.empty((blocks[0][1], n)) if a.shape[1] > 1 and blocks else None
+    for lo, hi in blocks:
+        for j in range(a.shape[1]):
+            d = scratch[: hi - lo] if j else out[lo:hi]
+            np.copyto(d, a[lo:hi, j, None])
+            d -= cols[:, j]
             np.multiply(d, d, out=d)
             if denoms is not None:
                 d /= denoms[j]
             if j:
-                out[lo : lo + step] += d
+                out[lo:hi] += d
     return out
 
 
@@ -207,54 +219,34 @@ def gaussian_denoms(hs) -> list[float]:
     return [-(2.0 * h * h) for h in hs]
 
 
-def gaussian_log_kernel(a: np.ndarray, b: np.ndarray, hs) -> np.ndarray:
-    """(m, n) Gaussian log-kernel between the rows of ``a`` (m, d) and ``b``
-    (n, d): the sum over columns j of -(a_ij - b_kj)^2 / (2 hs[j]^2)."""
-    return squared_differences(a, b, gaussian_denoms(hs))
+def gaussian_kernel(a: np.ndarray, b: np.ndarray, hs, sums: np.ndarray | None = None) -> np.ndarray:
+    """(m, n) product of per-column Gaussian kernels between the rows of
+    ``a`` (m, d) and ``b`` (n, d): exp of the sum over columns j of
+    -(a_ij - b_kj)^2 / (2 hs[j]^2).  When ``sums`` (n,) is given, the
+    kernel's column sums are written there, with the bits of ``np.sum(k,
+    axis=0)``.
+
+    One (m, n) array is allocated and filled one row block at a time: the
+    block's log-kernel is built in place by :func:`squared_differences`,
+    exponentiated and added to the column sums while it is in cache.
+    """
+    m, n = a.shape[0], b.shape[0]
+    k = np.empty((m, n))
+    cols = np.asfortranarray(b)  # contiguous columns, so no block copies them
+    denoms = gaussian_denoms(hs)
+    held = np.empty(n)
+    for lo, hi in _row_blocks(m, n):
+        block = k[lo:hi]
+        squared_differences(a[lo:hi], cols, denoms, block)
+        np.exp(block, out=block)
+        if sums is not None:
+            _carry_column_sums(k, lo, hi, sums, held)
+    return k
 
 
 def column_bandwidths(x: np.ndarray) -> list[float]:
     """The median-heuristic bandwidth of each column of the (n, d) ``x``."""
     return [_median_bandwidth(x[:, j]) for j in range(x.shape[1])]
-
-
-# Bytes of one row block of an (n, n) HSIC kernel.  Each kernel is built and
-# then centered one block at a time, so a block stays in cache through every
-# step of a pass: 32 rows at n = 2000, and n <= 256 is a single block.  At
-# n = 2000, on a core with 2 MiB of L2, blocks of 8 or 128 rows made a test
-# 5-10% slower.
-_HSIC_BLOCK_BYTES = 512 * 1024
-
-
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """The [lo, hi) row ranges of the blocks of an (n, n) kernel, in order."""
-    step = max(1, _HSIC_BLOCK_BYTES // (8 * n))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def _product_rbf_kernel(x: np.ndarray, bandwidths, sums: np.ndarray | None = None) -> np.ndarray:
-    """Product of per-column Gaussian kernels exp(-d^2 / (2 h^2)), with the
-    median-heuristic ``bandwidths`` of ``x``'s columns; when ``sums`` (n,)
-    is given, the kernel's column sums are written there, with the bits of
-    ``np.sum(k, axis=0)``.
-
-    The bandwidths are selected before the call, in O(n) memory each.  One
-    (n, n) array is allocated and filled one row block at a time: the block's
-    log-kernel is built in place by :func:`squared_differences`,
-    exponentiated and added to the column sums while it is in cache.
-    """
-    n = x.shape[0]
-    k = np.empty((n, n))
-    cols = np.asfortranarray(x)  # contiguous columns, so no block copies them
-    denoms = gaussian_denoms(bandwidths)
-    held = np.empty(n)
-    for lo, hi in _row_blocks(n):
-        block = k[lo:hi]
-        squared_differences(cols[lo:hi], cols, denoms, block)
-        np.exp(block, out=block)
-        if sums is not None:
-            _carry_column_sums(k, lo, hi, sums, held)
-    return k
 
 
 def _carry_column_sums(k: np.ndarray, lo: int, hi: int, sums: np.ndarray, held: np.ndarray) -> None:
@@ -299,7 +291,7 @@ def _center(k: np.ndarray, sums: np.ndarray, other: np.ndarray | None = None) ->
     """
     n = k.shape[0]
     means = sums / n
-    for lo, hi in _row_blocks(n):
+    for lo, hi in _row_blocks(n, n):
         block = k[lo:hi]
         block -= means
         block -= block.mean(axis=1, keepdims=True)
@@ -318,11 +310,12 @@ def hsic_tests(x, es) -> list[TestResult]:
     several noise vectors, ``[hsic_test(x, e) for e in es]``, with the
     kernel of ``x`` built once.
 
-    ``x`` is (n,) or (n, d) with finite non-constant columns; each ``e``
-    is a finite (n,) vector.  Every input is checked before a kernel is
-    built.  Each statistic is n*HSIC (biased estimator); its p-value comes
-    from the Gamma approximation to the null distribution (Gretton et al.,
-    "A Kernel Statistical Test of Independence", NeurIPS 2007).
+    ``x`` is (n,) or (n, d), d >= 1, with finite non-constant columns;
+    each ``e`` is a finite (n,) vector.  Every input is checked before a
+    kernel is built.  Each statistic is n*HSIC (biased estimator); its
+    p-value comes from the Gamma approximation to the null distribution
+    (Gretton et al., "A Kernel Statistical Test of Independence", NeurIPS
+    2007).
 
     The tests hold two (n, n) arrays and, besides them, one row block of
     scratch and O(n) vectors: each kernel's bandwidths are selected in O(n)
@@ -354,6 +347,8 @@ def _checked_hsic_inputs(x, es) -> tuple[np.ndarray, list[np.ndarray]]:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise BadParam(f"x must be (n,) or (n, d) with d >= 1, got shape {x.shape}")
     n = x.shape[0]
     es = [np.asarray(e, dtype=float).ravel() for e in es]
     for e in es:
@@ -378,22 +373,18 @@ def _hsic_kernel_tests(x: np.ndarray, es: list[np.ndarray], bandwidths) -> list[
     """The tests of checked inputs, with the kernel of ``x`` built from
     ``bandwidths``."""
     sums = np.empty(x.shape[0])
-    kc = _product_rbf_kernel(x, bandwidths, sums)
+    kc = gaussian_kernel(x, x, bandwidths, sums)
     mu_x = _off_diagonal_mean(kc)
     _center(kc, sums)
-    return [_hsic_against(kc, mu_x, e) for e in es]
-
-
-def _hsic_against(kc: np.ndarray, mu_x: float, e: np.ndarray) -> TestResult:
-    """The test of one noise vector against ``kc``, the centered kernel of
-    the covariates, whose uncentered off-diagonal mean is ``mu_x``."""
-    n = e.size
-    sums = np.empty(n)
-    kl = _product_rbf_kernel(e[:, None], [_median_bandwidth(e)], sums)
-    mu_y = _off_diagonal_mean(kl)
-    _center(kl, sums, kc)
-    stat = float(np.sum(kl) / n)
-    return TestResult(statistic=stat, p_value=_gamma_p_value(kl, mu_x, mu_y, stat))
+    results = []
+    for e in es:
+        kl = gaussian_kernel(e[:, None], e[:, None], [_median_bandwidth(e)], sums)
+        mu_y = _off_diagonal_mean(kl)
+        _center(kl, sums, kc)
+        stat = float(np.sum(kl) / e.size)
+        results.append(TestResult(statistic=stat, p_value=_gamma_p_value(kl, mu_x, mu_y, stat)))
+        del kl  # released before the next noise kernel is built
+    return results
 
 
 def _gamma_p_value(kl, mu_x, mu_y, stat) -> float:
@@ -404,7 +395,7 @@ def _gamma_p_value(kl, mu_x, mu_y, stat) -> float:
     ``mu_y`` are the off-diagonal means of the uncentered kernels.
     """
     n = kl.shape[0]
-    for lo, hi in _row_blocks(n):
+    for lo, hi in _row_blocks(n, n):
         block = kl[lo:hi]
         block /= 6.0
         np.square(block, out=block)
@@ -424,9 +415,9 @@ def _check_unit_interval(u) -> np.ndarray:
     u = np.asarray(u, dtype=float).ravel()
     if u.size == 0:
         raise BadParam("empty sample")
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        bad = u[(u <= 0.0) | (u >= 1.0)][0]
-        raise OutOfRange(f"value {bad} outside (0, 1)")
+    outside = ~((u > 0.0) & (u < 1.0))  # NaN included
+    if np.any(outside):
+        raise OutOfRange(f"value {u[outside][0]} outside (0, 1)")
     return u
 
 

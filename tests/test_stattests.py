@@ -11,13 +11,11 @@ from cause_sieve.errors import BadParam, ConstantInput, OutOfRange, TooFewRows
 from cause_sieve.model import CandidateSet
 from cause_sieve.regress import _MeanSmoother
 from cause_sieve.stattests import (
-    _KERNEL_BLOCK_ROWS,
     _hsic_test,
     _median_bandwidth,
-    _product_rbf_kernel,
     ad_uniform_test,
     column_bandwidths,
-    gaussian_log_kernel,
+    gaussian_kernel,
     hsic_test,
     hsic_tests,
     perm_significance,
@@ -78,7 +76,7 @@ class TestHsic:
             tri = np.abs(d)[np.triu_indices(60, k=1)]
             h = np.median(tri[tri > 0])
             expo += (d * d) / (2.0 * h * h)
-        np.testing.assert_array_equal(_product_rbf_kernel(x, column_bandwidths(x)), np.exp(-expo))
+        np.testing.assert_array_equal(gaussian_kernel(x, x, column_bandwidths(x)), np.exp(-expo))
 
     @staticmethod
     def _textbook_hsic(x, e, method="gamma", n_perm=0, seed=0):
@@ -130,7 +128,7 @@ class TestHsic:
         # bit for bit, ties included, for blocks of one to four columns; the
         # kernels are one row block at n = 20 and 200, and several with a
         # shorter last one at n = 777 and 2000
-        blocks = stattests._row_blocks(n)
+        blocks = stattests._row_blocks(n, n)
         assert len({hi - lo for lo, hi in blocks}) == (1 if n <= 200 else 2), blocks
         rng = seeding.substream(n, 921)
         for d in (1, 3, 2, 4):
@@ -182,6 +180,19 @@ class TestHsic:
         (x if where == "x" else e)[7] = np.nan
         with pytest.raises(BadParam):
             hsic_test(x, e)
+
+    @pytest.mark.parametrize("shape", [(50, 0), (50, 2, 2)])
+    def test_x_without_columns_or_too_deep_rejected(self, shape):
+        # no kernel is built from an x of no columns or of three dimensions
+        x = np.random.default_rng(11).standard_normal(shape)
+        e = np.random.default_rng(12).standard_normal(50)
+        with np.errstate(all="raise"):
+            with pytest.raises(BadParam, match="shape"):
+                hsic_test(x, e)
+            with pytest.raises(BadParam, match="shape"):
+                hsic_tests(x, [e, e])
+            with pytest.raises(BadParam, match="shape"):
+                _hsic_test(x, e, [])
 
     def test_holds_two_kernel_arrays(self):
         # the two (n, n) kernels and O(n) besides: no distance list, and
@@ -329,11 +340,12 @@ class TestSquaredDifferences:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_bits_of_subtract_outer(self, d):
         # the reference: whole (m, n) columns from np.subtract.outer, squared,
-        # divided and added in column order; m around the row block
+        # divided and added in column order; m around the 32-row block
         rng = seeding.substream(d, 923)
-        b = rng.standard_normal((170, d)) * rng.uniform(0.1, 10.0, d)
+        b = rng.standard_normal((2000, d)) * rng.uniform(0.1, 10.0, d)
+        assert stattests._row_blocks(300, 2000)[0] == (0, 32)
         denoms = -2.0 * (0.3 + rng.random(d)) ** 2
-        for m in (1, 127, 128, 129, 300):
+        for m in (1, 31, 32, 33, 300):
             a = rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0, d)
             for divide in (None, denoms):
                 for j in range(d):
@@ -344,25 +356,26 @@ class TestSquaredDifferences:
                     expected = diff if j == 0 else expected + diff
                 got = squared_differences(a, b, divide)
                 assert got.tobytes() == expected.tobytes(), (m, divide is None)
-                out = np.full((m, 170), np.nan)
+                out = np.full((m, 2000), np.nan)
                 assert squared_differences(a, b, divide, out) is out
                 assert out.tobytes() == expected.tobytes(), (m, divide is None)
 
 
-class TestGaussianLogKernel:
+class TestGaussianKernel:
     @pytest.mark.parametrize("d", [1, 3])
     def test_matches_per_column_loop(self, d):
-        # bit for bit against whole (m, n) columns summed in order, with
-        # a != b and m not a multiple of the row block
+        # bit for bit against np.exp of whole (m, n) columns summed in
+        # order, with a != b and m = 300 in ten row blocks, the last short
         rng = seeding.substream(d, 922)
-        a, b = rng.standard_normal((300, d)), rng.standard_normal((170, d))
+        a, b = rng.standard_normal((300, d)), rng.standard_normal((2000, d))
         hs = 0.3 + rng.random(d)
-        assert 300 % _KERNEL_BLOCK_ROWS
-        expected = np.zeros((300, 170))
+        blocks = stattests._row_blocks(300, 2000)
+        assert len(blocks) == 10 and blocks[-1] == (288, 300), blocks
+        expected = np.zeros((300, 2000))
         for j in range(d):
             diff = b[:, j][None, :] - a[:, j][:, None]
             expected += -(diff * diff) / (2.0 * hs[j] * hs[j])
-        np.testing.assert_array_equal(gaussian_log_kernel(a, b, hs), expected)
+        assert gaussian_kernel(a, b, hs).tobytes() == np.exp(expected).tobytes()
 
 
 class TestAndersonDarling:
@@ -381,6 +394,8 @@ class TestAndersonDarling:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             ad_uniform_test([0.2, 1.0])
+        with pytest.raises(OutOfRange, match=r"value nan outside \(0, 1\)"):
+            ad_uniform_test([0.5, np.nan])
 
     def test_p_monotone_in_statistic(self):
         from cause_sieve.stattests import _ad_p_value
