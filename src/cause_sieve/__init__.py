@@ -8,7 +8,6 @@ compatible, independent, uniformly distributed recovered noise.
 from .discover import (
     DiscoveryResult,
     PlausibilityVerdict,
-    ScoreRow,
     analyze,
     bench_replicates,
     check_plausibility,
@@ -72,7 +71,6 @@ __all__ = [
     "NoiseRecovery",
     "PerlinFunction",
     "PlausibilityVerdict",
-    "ScoreRow",
     "StatError",
     "TestResult",
     "TheoryCheckReport",

@@ -130,12 +130,12 @@ def cmd_discover(args) -> int:
     result = analyze(data, f_class, cfg, mode=args.mode)
     save_result(result, args.out)
     names = {i: data.names[i] for i in range(1, data.p + 1)}
-    if result.isd_estimate is not None:
+    if args.mode != "score":
         labels = [names[i] for i in result.isd_estimate]
         print(f"isd_estimate: {list(result.isd_estimate)} {labels}")
         if not result.plausible_sets:
             print("note: no candidate set was plausible; the empty estimate is a diagnostic, not a claim")
-    if result.score_estimate is not None:
+    if args.mode != "isd":
         labels = [names[i] for i in result.score_estimate.members]
         print(f"score_estimate: {list(result.score_estimate.members)} {labels}")
     print(f"result written to {args.out}")

@@ -3,8 +3,10 @@
 A candidate set passes when three questions all come back positive: the
 recovered noise is independent of the covariates (HSIC), every covariate is
 significant, and -- for the parametric class only -- the noise is uniform
-on (0,1).  The ISD estimate intersects all passing sets; the score search
-ranks every candidate by log-p-value terms and returns the argmax.
+on (0,1).  Each candidate's answers are one :class:`PlausibilityVerdict`,
+and both estimates read it: the ISD estimate intersects all passing sets;
+the score search ranks every candidate by the verdict's log-p-value terms
+and returns the argmax.
 """
 
 from __future__ import annotations
@@ -27,21 +29,31 @@ from .model import (
 )
 from .parallel import thread_map
 from .regress import EPS_CLIP, MODELS, PENALTY_GRID, SMOOTHER_DIM_CAP, recover_noise
-from .stattests import LOG_P_FLOOR, SIG_PERMUTATIONS, TestResult, ad_uniform_test, column_bandwidths
+from .stattests import SIG_PERMUTATIONS, TestResult, ad_uniform_test, column_bandwidths
 
 # analyze reaches HSIC through this name, so a profiler that wraps
 # ``discover.hsic_test`` (perfbench/run.py) times every candidate's test
 from .stattests import _hsic_test as hsic_test
 
 NEG_INF = float("-inf")
+LOG_P_FLOOR = np.log(1e-12)
+
+
+def _log_p(p: float) -> float:
+    """ln p, clamped at ``LOG_P_FLOOR`` so several hard-zero p-values still order."""
+    return max(float(np.log(max(p, 1e-300))), LOG_P_FLOOR)
 
 
 @dataclass(frozen=True)
 class PlausibilityVerdict:
-    """Answers to the three questions for one candidate set, read by both the
-    ISD intersection and the score search.  A class that skips the uniformity
-    question reports ``p_dist = 1.0``; a failed fit reports NaN p-values and
-    the error class in ``reason``."""
+    """The one record of a candidate set: its answers to the three questions,
+    read by both the ISD intersection and the score search.  A class that
+    skips the uniformity question reports ``p_dist = 1.0``; a failed fit
+    reports NaN p-values and the error class in ``reason``.
+
+    The score terms are read off the p-values: ln p_indep, ln(1 - p_sig_max)
+    and ln p_dist, each clamped at ``LOG_P_FLOOR``, and ``total``, their plain
+    sum.  A candidate whose fit failed scores -inf on each and ranks last."""
 
     candidate: CandidateSet
     independent: bool
@@ -53,25 +65,44 @@ class PlausibilityVerdict:
     plausible: bool
     reason: str | None = None
 
+    def _term(self, p: float) -> float:
+        return NEG_INF if self.reason is not None else _log_p(p)
 
-@dataclass(frozen=True)
-class ScoreRow:
-    candidate: CandidateSet
-    independence: float
-    significance: float
-    distribution: float
-    total: float
+    @property
+    def independence(self) -> float:
+        return self._term(self.p_indep)
+
+    @property
+    def significance(self) -> float:
+        return self._term(1.0 - self.p_sig_max)
+
+    @property
+    def distribution(self) -> float:
+        return self._term(self.p_dist)
+
+    @property
+    def total(self) -> float:
+        return self.independence + self.significance + self.distribution
 
 
 @dataclass(frozen=True)
 class DiscoveryResult:
+    """Every candidate's verdict and the two estimates derived from them.
+    ``mode`` only picks which estimate :func:`result_to_json` writes."""
+
     function_class: FunctionClass
     config: DiscoveryConfig
-    isd_estimate: tuple[int, ...] | None = None
-    plausible_sets: list[CandidateSet] | None = None
-    verdicts: list[PlausibilityVerdict] | None = field(default=None, repr=False)
-    score_table: list[ScoreRow] | None = None
-    score_estimate: CandidateSet | None = None
+    mode: str
+    verdicts: list[PlausibilityVerdict] = field(repr=False)
+    plausible_sets: list[CandidateSet]
+    isd_estimate: tuple[int, ...]
+    score_estimate: CandidateSet
+
+    @property
+    def score_table(self) -> list[PlausibilityVerdict]:
+        """The verdicts, which carry the score terms, under the result
+        file's name for them; ``perfbench/run.py`` reads this name."""
+        return self.verdicts
 
 
 def check_plausibility(
@@ -104,29 +135,11 @@ def _check_plausibility(
     )
 
 
-def _log_p(p: float) -> float:
-    """ln p, clamped at ``LOG_P_FLOOR`` so several hard-zero p-values still order."""
-    return max(float(np.log(max(p, 1e-300))), LOG_P_FLOOR)
-
-
-def _score_row(v: PlausibilityVerdict) -> ScoreRow:
-    """Score terms ln p_indep, ln(1 - p_sig_max) and ln p_dist, clamped at
-    ln(1e-12), and their plain sum; a candidate whose fit failed gets a -inf
-    total and ranks last."""
-    if v.reason is not None:
-        return ScoreRow(v.candidate, NEG_INF, NEG_INF, NEG_INF, NEG_INF)
-    independence = _log_p(v.p_indep)
-    significance = _log_p(1.0 - v.p_sig_max)
-    distribution = _log_p(v.p_dist)
-    total = independence + significance + distribution
-    return ScoreRow(v.candidate, independence, significance, distribution, total)
-
-
-def select_score_estimate(rows: list[ScoreRow]) -> CandidateSet:
+def select_score_estimate(verdicts: list[PlausibilityVerdict]) -> CandidateSet:
     """Argmax of the total; ties prefer smaller cardinality, then lexicographic."""
-    if not rows:
+    if not verdicts:
         raise BadParam("empty score table")
-    return min(rows, key=lambda r: (-r.total, len(r.candidate), r.candidate.members)).candidate
+    return min(verdicts, key=lambda v: (-v.total, len(v.candidate), v.candidate.members)).candidate
 
 
 def analyze(
@@ -135,7 +148,9 @@ def analyze(
     cfg: DiscoveryConfig | None = None,
     mode: str = "both",
 ) -> DiscoveryResult:
-    """Evaluate every candidate once and derive the requested estimates.
+    """Evaluate every candidate once and derive both estimates from the
+    verdicts; ``mode`` (``"isd"``, ``"score"`` or ``"both"``) only picks
+    which of them :func:`result_to_json` writes.
 
     The candidates are evaluated on :func:`parallel.thread_map`, the largest
     sets started first: on one thread inside a worker process or a
@@ -174,32 +189,16 @@ def analyze(
     # largest, slowest fits first and the threads finish close together
     verdicts = thread_map(evaluate, enumerate_candidates(data.p)[::-1])[::-1]
 
-    isd_estimate = None
-    plausible_sets = None
-    if mode in ("isd", "both"):
-        plausible_sets = [v.candidate for v in verdicts if v.plausible]
-        if plausible_sets:
-            common = set(plausible_sets[0].members)
-            for s in plausible_sets[1:]:
-                common &= set(s.members)
-            isd_estimate = tuple(sorted(common))
-        else:
-            isd_estimate = ()
-
-    score_table = None
-    score_estimate = None
-    if mode in ("score", "both"):
-        score_table = [_score_row(v) for v in verdicts]
-        score_estimate = select_score_estimate(score_table)
-
+    plausible_sets = [v.candidate for v in verdicts if v.plausible]
+    common = set.intersection(*(set(s.members) for s in plausible_sets)) if plausible_sets else set()
     return DiscoveryResult(
         function_class=f_class,
         config=cfg,
-        isd_estimate=isd_estimate,
-        plausible_sets=plausible_sets,
+        mode=mode,
         verdicts=verdicts,
-        score_table=score_table,
-        score_estimate=score_estimate,
+        plausible_sets=plausible_sets,
+        isd_estimate=tuple(sorted(common)),
+        score_estimate=select_score_estimate(verdicts),
     )
 
 
@@ -313,31 +312,31 @@ def _config_dict(cfg: DiscoveryConfig, f_class: FunctionClass) -> dict:
 
 def result_to_json(result: DiscoveryResult) -> str:
     """Serialize with a fixed schema: isd_estimate, plausible_sets,
-    score_table, score_estimate, config, seed.  ``config`` also names the one
-    procedure implemented: ``"bandwidth_rule": "silverman"`` and the ln(1 - p)
-    significance term, ``"significance_score": "one_minus_p_log"``."""
+    score_table, score_estimate, config, seed.  The two fields of the
+    estimate that ``result.mode`` leaves out read null.  ``config`` also
+    names the one procedure implemented: ``"bandwidth_rule": "silverman"``
+    and the ln(1 - p) significance term, ``"significance_score":
+    "one_minus_p_log"``."""
+    writes_isd = result.mode in ("isd", "both")
+    writes_score = result.mode in ("score", "both")
     doc = {
-        "isd_estimate": list(result.isd_estimate) if result.isd_estimate is not None else None,
-        "plausible_sets": (
-            [list(s.members) for s in result.plausible_sets]
-            if result.plausible_sets is not None
-            else None
-        ),
+        "isd_estimate": list(result.isd_estimate) if writes_isd else None,
+        "plausible_sets": [list(s.members) for s in result.plausible_sets] if writes_isd else None,
         "score_table": (
             [
                 {
-                    "set": list(r.candidate.members),
-                    "independence": r.independence,
-                    "significance": r.significance,
-                    "distribution": r.distribution,
-                    "total": r.total,
+                    "set": list(v.candidate.members),
+                    "independence": v.independence,
+                    "significance": v.significance,
+                    "distribution": v.distribution,
+                    "total": v.total,
                 }
-                for r in result.score_table
+                for v in result.verdicts
             ]
-            if result.score_table is not None
+            if writes_score
             else None
         ),
-        "score_estimate": list(result.score_estimate.members) if result.score_estimate is not None else None,
+        "score_estimate": list(result.score_estimate.members) if writes_score else None,
         "config": _config_dict(result.config, result.function_class),
         "seed": result.config.seed,
     }

@@ -268,7 +268,7 @@ class DiscoveryConfig:
     - uniformity: Anderson-Darling, for the parametric class only
       (``stattests.ad_uniform_test``);
     - the score: the plain sum of the three clamped log-p terms
-      (``discover._score_row``);
+      (``discover.PlausibilityVerdict.total``);
     - the spline penalties ``regress.PENALTY_GRID`` and the location-scale
       sigma floor 1e-6 * sd(y) (``regress._LocationScaleModel``);
     - at most ``MAX_P`` covariates (``enumerate_candidates``).

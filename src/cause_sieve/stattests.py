@@ -32,7 +32,6 @@ from . import seeding
 from .errors import BadParam, ConstantInput, OutOfRange, TooFewRows
 from .model import MIN_ROWS, CandidateSet, Dataset
 
-LOG_P_FLOOR = np.log(1e-12)
 SIG_PERMUTATIONS = 99  # permutations per covariate in the significance test
 # Bytes of permuted pieces scored per batch in the significance test: three
 # 250 x 250 slices at n = 500, one slice at n = 2000.  The thin-plate loss
@@ -350,10 +349,10 @@ def _checked_hsic_inputs(x, es) -> tuple[np.ndarray, list[np.ndarray]]:
     if x.ndim != 2 or x.shape[1] == 0:
         raise BadParam(f"x must be (n,) or (n, d) with d >= 1, got shape {x.shape}")
     n = x.shape[0]
-    es = [np.asarray(e, dtype=float).ravel() for e in es]
+    es = [np.asarray(e, dtype=float) for e in es]
     for e in es:
-        if e.size != n:
-            raise BadParam(f"x has {n} rows but e has {e.size}")
+        if e.shape != (n,):
+            raise BadParam(f"e must be an (n,) vector with the {n} rows of x, got shape {e.shape}")
     if n < MIN_ROWS:
         raise TooFewRows(f"hsic_test needs n >= {MIN_ROWS}, got {n}")
     for e in es:

@@ -327,7 +327,7 @@ def check_marginalizability(noise: str = "gaussian", n: int = 2000, n_reps: int 
     def draw(r):
         gd = gen_linear_chain(seeding.child_seed(seed, seeding.REPLICATE, 51, r), n, noise)
         cfg = DiscoveryConfig(seed=seeding.child_seed(seed, 51, r))
-        est = analyze(gd.data, FunctionClass("linear"), cfg, mode="isd").isd_estimate
+        est = analyze(gd.data, FunctionClass("linear"), cfg).isd_estimate
         return est == (), est == (1,), est not in ((), (1,))
 
     empty_rate, x1_rate, other_rate = _rates(draw, n_reps)

@@ -55,6 +55,22 @@ class TestDiscover:
         assert doc["seed"] == 3
         assert isinstance(doc["score_estimate"], list)
 
+    def test_one_estimate_modes(self, bench2_csv, tmp_path, capsys):
+        # --mode isd and --mode score print and write their part of --mode both
+        printed, docs = {}, {}
+        for mode in ("both", "isd", "score"):
+            out = tmp_path / f"{mode}.json"
+            argv = ["discover", str(bench2_csv), "--target", "Y", "--class", "linear", "--mode", mode, "--seed", "3"]
+            assert main(argv + ["--out", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-1] == f"result written to {out}"
+            printed[mode], docs[mode] = lines[:-1], json.loads(out.read_text())
+        assert printed["both"][0].startswith("isd_estimate: ") and printed["both"][-1].startswith("score_estimate: ")
+        assert printed["isd"] == printed["both"][:-1]
+        assert printed["score"] == printed["both"][-1:]
+        assert docs["isd"] == {**docs["both"], "score_table": None, "score_estimate": None}
+        assert docs["score"] == {**docs["both"], "isd_estimate": None, "plausible_sets": None}
+
     def test_missing_target_exits_2(self, bench2_csv, tmp_path):
         rc = main(["discover", str(bench2_csv), "--target", "Z", "--out", str(tmp_path / "x.json")])
         assert rc == 2

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from cause_sieve import discover, seeding, stattests
 from cause_sieve.discover import (
     DiscoveryResult,
+    LOG_P_FLOOR,
     PlausibilityVerdict,
-    ScoreRow,
-    _score_row,
     analyze,
     check_plausibility,
     empty_parent_test,
@@ -25,7 +24,6 @@ from cause_sieve.discover import (
 )
 from cause_sieve.errors import BadParam, CauseSieveError, DomainViolation, TooManyCovariates
 from cause_sieve.model import CLASS_CODES, CandidateSet, DiscoveryConfig, FunctionClass, enumerate_candidates
-from cause_sieve.stattests import LOG_P_FLOOR
 from cause_sieve.synth import gen_benchmark1, gen_benchmark2, gen_benchmark3, gen_linear_chain
 
 from conftest import table, use_threads
@@ -76,7 +74,7 @@ class TestCheckPlausibility:
                 a, b = getattr(single, name), getattr(v, name)
                 assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)), (s, name)
             if label == "linear":
-                assert _score_row(v).distribution == 0.0
+                assert v.distribution == 0.0
 
 
 class TestIsd:
@@ -107,8 +105,7 @@ class TestIsd:
 class TestScore:
     def _row(self, p_indep, p_sig_max, p_dist=1.0):
         # the plausibility flags do not enter the score
-        v = PlausibilityVerdict(CandidateSet((1,)), True, p_indep, True, p_sig_max, True, p_dist, plausible=True)
-        return _score_row(v)
+        return PlausibilityVerdict(CandidateSet((1,)), True, p_indep, True, p_sig_max, True, p_dist, plausible=True)
 
     def test_perfect_scores_peak_at_zero(self):
         row = self._row(1.0, 0.0)
@@ -129,19 +126,19 @@ class TestScore:
 
     def test_error_scores_rank_last(self):
         nan = float("nan")
-        v = PlausibilityVerdict(CandidateSet((2,)), False, nan, False, nan, False, nan, plausible=False, reason="DomainViolation")
-        bad = _score_row(v)
+        bad = PlausibilityVerdict(CandidateSet((2,)), False, nan, False, nan, False, nan, plausible=False, reason="DomainViolation")
         good = self._row(0.5, 0.01)
         assert bad.total == float("-inf")
         assert select_score_estimate([bad, good]).members == (1,)
 
     def test_tie_break_prefers_small_then_lexicographic(self):
-        rows = [
-            ScoreRow(CandidateSet((1, 2)), -1.0, 0.0, 0.0, -1.0),
-            ScoreRow(CandidateSet((3,)), -1.0, 0.0, 0.0, -1.0),
-            ScoreRow(CandidateSet((2,)), -1.0, 0.0, 0.0, -1.0),
+        p_indep = np.exp(-1.0)
+        verdicts = [
+            PlausibilityVerdict(CandidateSet(members), True, p_indep, True, 0.0, True, 1.0, plausible=True)
+            for members in [(1, 2), (3,), (2,)]
         ]
-        assert select_score_estimate(rows).members == (2,)
+        assert [v.total for v in verdicts] == [-1.0, -1.0, -1.0]
+        assert select_score_estimate(verdicts).members == (2,)
 
 
 class TestMetrics:
@@ -239,6 +236,19 @@ class TestSerialization:
         for (label, bench), digest in self.PINNED.items():
             res = analyze(tables[bench], FunctionClass.parse(label), DiscoveryConfig(seed=3))
             assert hashlib.sha256(result_to_json(res).encode()).hexdigest() == digest, label
+
+    @pytest.mark.parametrize("label", ["linear", "cpcm:gaussian"])
+    def test_mode_only_picks_the_fields(self, label):
+        # every mode evaluates the same verdicts: an isd or score document is
+        # the both document with the other estimate's two fields null
+        data = gen_benchmark2(12, 150).data
+        f_class, cfg = FunctionClass.parse(label), DiscoveryConfig(seed=12)
+        both = json.loads(result_to_json(analyze(data, f_class, cfg, mode="both")))
+        assert all(both[key] is not None for key in ("isd_estimate", "plausible_sets", "score_table", "score_estimate"))
+        for mode, other in (("isd", ("score_table", "score_estimate")), ("score", ("isd_estimate", "plausible_sets"))):
+            doc = json.loads(result_to_json(analyze(data, f_class, cfg, mode=mode)))
+            assert list(doc) == list(both)
+            assert doc == {**both, **dict.fromkeys(other)}, mode
 
     def test_score_only_leaves_isd_null(self):
         res = score_search(_chain_data(10), FunctionClass("linear"), DiscoveryConfig(seed=10))

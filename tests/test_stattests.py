@@ -194,6 +194,18 @@ class TestHsic:
             with pytest.raises(BadParam, match="shape"):
                 _hsic_test(x, e, [])
 
+    @pytest.mark.parametrize("shape", [(50, 2), (100, 1), (1, 100)])
+    def test_noise_not_a_vector_rejected(self, shape):
+        # e holds x's 100 values but not as an (n,) vector: it is not raveled
+        x = np.random.default_rng(13).standard_normal(100)
+        e = np.random.default_rng(14).standard_normal(shape)
+        with pytest.raises(BadParam, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
+            hsic_test(x, e)
+        with pytest.raises(BadParam, match="shape"):
+            hsic_tests(x, [x, e])
+        with pytest.raises(BadParam, match="shape"):
+            _hsic_test(x, e, [1.0])
+
     def test_holds_two_kernel_arrays(self):
         # the two (n, n) kernels and O(n) besides: no distance list, and
         # further columns join the x kernel in row blocks
