@@ -287,39 +287,34 @@ def bench_replicates(generator, f_class: FunctionClass, reps: int, *, n: int, se
 # --------------------------------------------------------------------- #
 
 
+# Version of the result file's layout: 2 dropped the config keys no code
+# read and named both bandwidth rules.
+RESULT_SCHEMA_VERSION = 2
+
+
 def _config_dict(cfg: DiscoveryConfig, f_class: FunctionClass) -> dict:
-    """``alpha``, then the fixed procedure under the keys every result file
-    carries: equal score weights, the Gamma HSIC (``hsic_permutations`` is
-    a fixed recorded 500 that no code reads, kept so result files keep
-    their bytes), the spline penalties, the sd-relative sigma floor (null)
-    and the enumeration cap."""
+    """``alpha``, then the fixed procedure: the significance permutations,
+    the bandwidth rule of the HSIC kernels (the median heuristic) and of the
+    kernel-local fits (Silverman's), the spline penalties and the
+    enumeration cap."""
     return {
         "function_class": f_class.label,
         "alpha": cfg.alpha,
-        "lambdas": [1.0, 1.0, 1.0],
-        "hsic_method": "gamma",
-        "hsic_permutations": 500,
         "significance_permutations": SIG_PERMUTATIONS,
-        "smoother": {
-            "penalty_grid": list(PENALTY_GRID),
-            "bandwidth_rule": "silverman",
-            "sigma_floor": None,
-        },
+        "bandwidth_rules": {"hsic": "median_heuristic", "kernel_local": "silverman"},
+        "smoother": {"penalty_grid": list(PENALTY_GRID)},
         "max_p": MAX_P,
-        "significance_score": "one_minus_p_log",
     }
 
 
 def result_to_json(result: DiscoveryResult) -> str:
-    """Serialize with a fixed schema: isd_estimate, plausible_sets,
-    score_table, score_estimate, config, seed.  The two fields of the
-    estimate that ``result.mode`` leaves out read null.  ``config`` also
-    names the one procedure implemented: ``"bandwidth_rule": "silverman"``
-    and the ln(1 - p) significance term, ``"significance_score":
-    "one_minus_p_log"``."""
+    """Serialize with a fixed schema: schema_version, isd_estimate,
+    plausible_sets, score_table, score_estimate, config, seed.  The two
+    fields of the estimate that ``result.mode`` leaves out read null."""
     writes_isd = result.mode in ("isd", "both")
     writes_score = result.mode in ("score", "both")
     doc = {
+        "schema_version": RESULT_SCHEMA_VERSION,
         "isd_estimate": list(result.isd_estimate) if writes_isd else None,
         "plausible_sets": [list(s.members) for s in result.plausible_sets] if writes_isd else None,
         "score_table": (

@@ -39,8 +39,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-# Threads of a top-level thread_map.  Memory grows with the threads (two
-# (n, n) float arrays per concurrent HSIC, 64 MB at n=2000), and speed and
+# Threads of a top-level thread_map.  Memory grows with the threads (one
+# (n, n) float array per concurrent HSIC, 32 MB at n=2000), and speed and
 # peak memory have been measured on two cores only, so the count does not
 # grow with the host.
 DEFAULT_THREADS = 2

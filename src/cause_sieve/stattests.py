@@ -10,14 +10,18 @@ product of univariate RBF kernels, one bandwidth per column by the median
 heuristic.  P-values come from the Gamma moment-matching approximation.
 
 One rule, :func:`_row_blocks`, cuts every (m, n) kernel into row blocks of
-``_BLOCK_BYTES``, and every blocked loop keeps the floats of the
-whole-array steps.  :func:`squared_differences` adds each further column
-to a block in one scratch block, so it needs no second (m, n) array.
-:func:`gaussian_kernel` builds each block, exponentiates it and, for HSIC,
-adds it to the column sums while it is in cache; an HSIC kernel goes
-through its blocks again while it is centered and multiplied, and the
-product is divided and squared in a third pass.  Only the sums over a
-whole kernel read it outside the blocks.
+``_BLOCK_BYTES``.  :func:`squared_differences` adds each further column to
+a block in one scratch block, allocated once per kernel, so it needs no
+second (m, n) array, and :func:`gaussian_kernel` exponentiates each block
+while it is in cache.  An HSIC test holds one (n, n) array, the centered
+covariate kernel, and two row blocks: each noise kernel streams through
+one reused block twice, once for its row sums and once more to be
+centered, multiplied by the covariate kernel's rows and summed.  Both
+kernels are symmetric with a diagonal of ones, so their row sums give the
+centering and the off-diagonal means.  The sums are added block by block,
+so the floats are not those of the whole-array steps: statistics agree
+with them to about 1e-15 relative, and p-values to about 1e-14 relative
+in ln p.
 """
 
 from __future__ import annotations
@@ -154,8 +158,8 @@ def _cut(s: np.ndarray, start: np.ndarray, t) -> tuple[np.ndarray, int]:
 
 
 # Bytes of one row block of an (m, n) kernel.  Every kernel is built, and
-# an (n, n) HSIC kernel then centered, one block at a time, so a block stays
-# in cache through every step of a pass: 32 rows at n = 2000, and an (n, n)
+# HSIC's centered and multiplied, one block at a time, so a block stays in
+# cache through every step of a pass: 32 rows at n = 2000, and an (n, n)
 # kernel with n <= 256 is a single block.  At n = 2000, on a core with 2 MiB
 # of L2, blocks of 8 or 128 rows made an HSIC test 5-10% slower.
 _BLOCK_BYTES = 512 * 1024
@@ -167,7 +171,9 @@ def _row_blocks(m: int, n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
-def squared_differences(a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarray | None = None) -> np.ndarray:
+def squared_differences(
+    a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """(m, n) sum over the columns j of (a_ij - b_kj)^2 between the rows of
     ``a`` (m, d) and ``b`` (n, d), each column's squares divided by
     ``denoms[j]`` when given.
@@ -175,21 +181,22 @@ def squared_differences(a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarr
     The columns are added in order, as scipy's ``cdist(a, b,
     "sqeuclidean")`` adds them.  Each row block of ``out`` (a new array
     when None) takes the first column and then each further one, built in
-    one scratch block and added, so no second (m, n) array exists.  A block
-    row i is a_ij copied across the row and b_kj subtracted in place: the
-    same rounded a_ij - b_kj as ``np.subtract.outer``, in about two thirds
-    of its time at n = 2000.  Each column of ``b`` is read contiguously,
-    from a Fortran-ordered copy when ``b`` is C-ordered with several
-    columns: at n = 2000 subtracting a strided column from a block in cache
-    took 1.4 times as long, and a whole column's build a tenth longer.
+    one scratch block, ``scratch`` when given, and added, so no second
+    (m, n) array exists.  A block row i is a_ij copied across the row and
+    b_kj subtracted in place: the same rounded a_ij - b_kj as
+    ``np.subtract.outer``, in about two thirds of its time at n = 2000.
+    Each column of ``b`` is read contiguously, from a Fortran-ordered copy
+    when ``b`` is C-ordered with several columns: at n = 2000 subtracting a
+    strided column from a block in cache took 1.4 times as long, and a
+    whole column's build a tenth longer.
     """
     m, n = a.shape[0], b.shape[0]
     if out is None:
         out = np.empty((m, n))
     cols = np.asfortranarray(b)
-    blocks = _row_blocks(m, n)
-    scratch = np.empty((blocks[0][1], n)) if a.shape[1] > 1 and blocks else None
-    for lo, hi in blocks:
+    if scratch is None and a.shape[1] > 1:
+        scratch = _scratch_block(m, n)
+    for lo, hi in _row_blocks(m, n):
         for j in range(a.shape[1]):
             d = scratch[: hi - lo] if j else out[lo:hi]
             np.copyto(d, a[lo:hi, j, None])
@@ -200,6 +207,11 @@ def squared_differences(a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarr
             if j:
                 out[lo:hi] += d
     return out
+
+
+def _scratch_block(m: int, n: int) -> np.ndarray:
+    """Uninitialized room for any row block of an (m, n) kernel."""
+    return np.empty((_row_blocks(m, n)[0][1] if m else 0, n))
 
 
 def column_pieces(a: np.ndarray, b: np.ndarray, denoms=None) -> np.ndarray:
@@ -218,84 +230,33 @@ def gaussian_denoms(hs) -> list[float]:
     return [-(2.0 * h * h) for h in hs]
 
 
-def gaussian_kernel(a: np.ndarray, b: np.ndarray, hs, sums: np.ndarray | None = None) -> np.ndarray:
+def gaussian_kernel(a: np.ndarray, b: np.ndarray, hs, out: np.ndarray | None = None) -> np.ndarray:
     """(m, n) product of per-column Gaussian kernels between the rows of
     ``a`` (m, d) and ``b`` (n, d): exp of the sum over columns j of
-    -(a_ij - b_kj)^2 / (2 hs[j]^2).  When ``sums`` (n,) is given, the
-    kernel's column sums are written there, with the bits of ``np.sum(k,
-    axis=0)``.
+    -(a_ij - b_kj)^2 / (2 hs[j]^2), written into ``out`` (a new array when
+    None).  A row that equals a row of ``b`` gives exactly 1 there, since
+    its log-kernel is a sum of -0.0.
 
-    One (m, n) array is allocated and filled one row block at a time: the
-    block's log-kernel is built in place by :func:`squared_differences`,
-    exponentiated and added to the column sums while it is in cache.
+    The kernel is filled one row block at a time: the block's log-kernel is
+    built in place by :func:`squared_differences`, in one scratch block
+    allocated once for all the blocks, and exponentiated while it is in
+    cache.
     """
     m, n = a.shape[0], b.shape[0]
-    k = np.empty((m, n))
+    k = np.empty((m, n)) if out is None else out
     cols = np.asfortranarray(b)  # contiguous columns, so no block copies them
     denoms = gaussian_denoms(hs)
-    held = np.empty(n)
+    scratch = _scratch_block(m, n) if a.shape[1] > 1 else None
     for lo, hi in _row_blocks(m, n):
         block = k[lo:hi]
-        squared_differences(a[lo:hi], cols, denoms, block)
+        squared_differences(a[lo:hi], cols, denoms, block, scratch)
         np.exp(block, out=block)
-        if sums is not None:
-            _carry_column_sums(k, lo, hi, sums, held)
     return k
 
 
 def column_bandwidths(x: np.ndarray) -> list[float]:
     """The median-heuristic bandwidth of each column of the (n, d) ``x``."""
     return [_median_bandwidth(x[:, j]) for j in range(x.shape[1])]
-
-
-def _carry_column_sums(k: np.ndarray, lo: int, hi: int, sums: np.ndarray, held: np.ndarray) -> None:
-    """Extend ``sums`` from ``np.sum(k[:lo], axis=0)`` to ``np.sum(k[:hi],
-    axis=0)``, bit for bit, for a C-ordered ``k``; ``held`` is (n,) scratch.
-
-    ``np.add.reduce`` over axis 0 of a C-ordered array adds the rows in
-    order.  With the running sums put in row lo - 1, the reduction of
-    ``k[lo - 1:hi]`` is the rest of the one over ``k[:hi]``; the row is kept
-    in ``held`` and put back.  Adding a block's own sums to the running ones
-    would group the additions differently, and adding row by row costs a
-    call per row.
-    """
-    if lo == 0:
-        np.add.reduce(k[:hi], axis=0, out=sums)
-        return
-    np.copyto(held, k[lo - 1])
-    np.copyto(k[lo - 1], sums)
-    np.add.reduce(k[lo - 1 : hi], axis=0, out=sums)
-    np.copyto(k[lo - 1], held)
-
-
-def _off_diagonal_mean(k: np.ndarray) -> float:
-    """Mean of the off-diagonal entries, summed with the diagonal zeroed in
-    place and then restored, so ``k`` is unchanged."""
-    n = k.shape[0]
-    diag = np.diag(k).copy()
-    np.fill_diagonal(k, 0.0)
-    mean = k.sum() / (n * (n - 1))
-    np.fill_diagonal(k, diag)
-    return mean
-
-
-def _center(k: np.ndarray, sums: np.ndarray, other: np.ndarray | None = None) -> None:
-    """Double centering in place, ``k -= k.mean(axis=0)`` and then ``k -=
-    k.mean(axis=1)`` bit for bit, with ``sums`` the column sums of ``k``;
-    each row block is then multiplied by ``other``'s when given.
-
-    The column means are ``sums / n``, as ``np.mean`` divides.  A row's
-    mean reads that row alone, so each block takes its own after the column
-    means are out of it.
-    """
-    n = k.shape[0]
-    means = sums / n
-    for lo, hi in _row_blocks(n, n):
-        block = k[lo:hi]
-        block -= means
-        block -= block.mean(axis=1, keepdims=True)
-        if other is not None:
-            block *= other[lo:hi]
 
 
 def hsic_test(x, e) -> TestResult:
@@ -310,23 +271,18 @@ def hsic_tests(x, es) -> list[TestResult]:
     kernel of ``x`` built once.
 
     ``x`` is (n,) or (n, d), d >= 1, with finite non-constant columns;
-    each ``e`` is a finite (n,) vector.  Every input is checked before a
-    kernel is built.  Each statistic is n*HSIC (biased estimator); its
-    p-value comes from the Gamma approximation to the null distribution
-    (Gretton et al., "A Kernel Statistical Test of Independence", NeurIPS
-    2007).
+    each ``e`` is a finite (n,) vector.  Every input and every bandwidth is
+    checked before a kernel is built.  Each statistic is n*HSIC (biased
+    estimator); its p-value comes from the Gamma approximation to the null
+    distribution (Gretton et al., "A Kernel Statistical Test of
+    Independence", NeurIPS 2007).
 
-    The tests hold two (n, n) arrays and, besides them, one row block of
-    scratch and O(n) vectors: each kernel's bandwidths are selected in O(n)
-    memory before the kernel is allocated, the off-diagonal means are taken
-    before centering, both kernels are centered in place, and the product of
-    the centered kernels overwrites the noise kernel, which is released
-    before the next noise vector's kernel is built.  Each kernel is written
-    in one pass over its row blocks, its column sums carried along, and
-    centered in one more, the noise kernel multiplied there as well; only
-    the product's division and square take a third pass, and only the sums
-    over a whole kernel read it outside the blocks.  Every float is the one
-    the whole-array steps give.
+    The tests hold one (n, n) array, two row blocks and O(n) vectors.  The
+    kernel of ``x`` is built and centered in place from its row sums; each
+    noise kernel is built twice in one reused row block, first for its row
+    sums and then to be centered, multiplied by the centered covariate rows
+    and summed, squared and summed again.  The sums run block by block, so
+    the floats differ from those of the whole-array steps in the last bits.
     """
     x, es = _checked_hsic_inputs(x, es)
     return _hsic_kernel_tests(x, es, column_bandwidths(x))
@@ -368,37 +324,78 @@ def _checked_hsic_inputs(x, es) -> tuple[np.ndarray, list[np.ndarray]]:
     return x, es
 
 
+def _check_denoms(named_bandwidths) -> None:
+    """``OutOfRange`` naming the first (name, h) pair whose -2 h^2 is not a
+    finite non-zero float: h^2 underflows or overflows at a column scale
+    near 1e-162 or 1e154, and its kernel would divide 0 by -0.0 or inf by
+    -inf."""
+    for name, h in named_bandwidths:
+        denom = gaussian_denoms([h])[0]
+        if not (np.isfinite(denom) and denom != 0.0):
+            raise OutOfRange(f"{name} has bandwidth {h:g}, whose kernel denominator -2h^2 = {denom} is unusable")
+
+
 def _hsic_kernel_tests(x: np.ndarray, es: list[np.ndarray], bandwidths) -> list[TestResult]:
     """The tests of checked inputs, with the kernel of ``x`` built from
     ``bandwidths``."""
-    sums = np.empty(x.shape[0])
-    kc = gaussian_kernel(x, x, bandwidths, sums)
-    mu_x = _off_diagonal_mean(kc)
-    _center(kc, sums)
+    n = x.shape[0]
+    noise_bandwidths = [_median_bandwidth(e) for e in es]
+    named = [(f"column {j} of x", h) for j, h in enumerate(bandwidths)]
+    _check_denoms(named + [(f"noise vector {i}", h) for i, h in enumerate(noise_bandwidths)])
+    blocks = _row_blocks(n, n)
+    kc = gaussian_kernel(x, x, bandwidths)
+    means, shifted, mu_x = _row_sum_means(np.sum(kc, axis=1))
+    for lo, hi in blocks:
+        _center(kc[lo:hi], means, shifted[lo:hi])
+    block, rows = _scratch_block(n, n), np.empty(n)
     results = []
-    for e in es:
-        kl = gaussian_kernel(e[:, None], e[:, None], [_median_bandwidth(e)], sums)
-        mu_y = _off_diagonal_mean(kl)
-        _center(kl, sums, kc)
-        stat = float(np.sum(kl) / e.size)
-        results.append(TestResult(statistic=stat, p_value=_gamma_p_value(kl, mu_x, mu_y, stat)))
-        del kl  # released before the next noise kernel is built
+    for e, h in zip(es, noise_bandwidths):
+        col = e[:, None]
+        for lo, hi in blocks:
+            np.sum(gaussian_kernel(col[lo:hi], col, [h], block[: hi - lo]), axis=1, out=rows[lo:hi])
+        means, shifted, mu_y = _row_sum_means(rows)
+        total = squares = diagonal = 0.0
+        for lo, hi in blocks:
+            p = gaussian_kernel(col[lo:hi], col, [h], block[: hi - lo])
+            _center(p, means, shifted[lo:hi])
+            p *= kc[lo:hi]
+            total += np.sum(p)
+            np.square(p, out=p)
+            squares += np.sum(p)
+            diagonal += np.sum(np.diagonal(p, lo))
+        stat = float(total / n)
+        results.append(TestResult(statistic=stat, p_value=_gamma_p_value(n, mu_x, mu_y, stat, squares - diagonal)))
     return results
 
 
-def _gamma_p_value(kl, mu_x, mu_y, stat) -> float:
+def _row_sum_means(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """For a symmetric (n, n) kernel with row sums ``rows`` and a diagonal of
+    ones: its column means, its row means less the grand mean, and the mean
+    of its off-diagonal entries, (sum - n) / (n (n - 1)).  The median
+    heuristic puts half of a column's pairs within one bandwidth, at a
+    kernel value of at least e^-1/2, so the sum far exceeds n."""
+    n = rows.size
+    total = float(np.sum(rows))
+    means = rows / n
+    return means, means - total / (n * n), (total - n) / (n * (n - 1))
+
+
+def _center(block: np.ndarray, means: np.ndarray, shifted: np.ndarray) -> None:
+    """Double centering in place of a row block of a kernel, entry (i, j)
+    less column mean j and less row i's ``shifted``, its row mean less the
+    grand mean."""
+    block -= means
+    block -= shifted[:, None]
+
+
+def _gamma_p_value(n: int, mu_x: float, mu_y: float, stat: float, off_squares: float) -> float:
     """Moment-matched Gamma approximation to the null distribution of n*HSIC.
 
-    ``kl``, the elementwise product of the two centered kernels, is
-    overwritten by (kl / 6)^2, one row block at a time; ``mu_x`` and
-    ``mu_y`` are the off-diagonal means of the uncentered kernels.
+    ``mu_x`` and ``mu_y`` are the off-diagonal means of the uncentered
+    kernels and ``off_squares`` the sum of the squared off-diagonal entries
+    of the elementwise product of the centered kernels.
     """
-    n = kl.shape[0]
-    for lo, hi in _row_blocks(n, n):
-        block = kl[lo:hi]
-        block /= 6.0
-        np.square(block, out=block)
-    var = (kl.sum() - np.trace(kl)) / (n * (n - 1))
+    var = off_squares / 36.0 / (n * (n - 1))
     var = var * 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
 
     mean = (1.0 + mu_x * mu_y - mu_x - mu_y) / n

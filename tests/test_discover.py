@@ -203,7 +203,9 @@ class TestSerialization:
 
     def test_schema_and_key_order(self):
         doc = json.loads(result_to_json(self._result()))
-        assert list(doc.keys()) == ["isd_estimate", "plausible_sets", "score_table", "score_estimate", "config", "seed"]
+        keys = ["schema_version", "isd_estimate", "plausible_sets", "score_table", "score_estimate", "config", "seed"]
+        assert list(doc.keys()) == keys
+        assert doc["schema_version"] == 2
         assert all(list(r.keys()) == ["set", "independence", "significance", "distribution", "total"] for r in doc["score_table"])
         assert doc["config"]["function_class"] == "linear"
 
@@ -223,12 +225,12 @@ class TestSerialization:
     # byte-identical, so a digest may move only with a deliberate change to
     # the numbers or the schema
     PINNED = {
-        ("linear", 1): "63852706a91c58f87677ce3dfdd83bd3f85eb7a88bce202720a72ceb3d97da9c",
-        ("additive", 1): "5ec93a1cf0d451c119348bd5a2043a78431a5c7af51e30213b02aeb434edc20d",
-        ("location-scale", 1): "0c31b485a29dc1599cff5abf911d14f11b0412ff438c788f88465226efcbfabc",
-        ("cpcm:gaussian", 1): "7bbbe63d7a74763d0509f8f28b9bbfe486d48fbfa747d0cc119038f5910eb1cb",
-        ("cpcm:gamma", 3): "6a50e9a17005fd8e53e82f8e7f724b9df2edd4b1cd200a434e1821722ed8150d",
-        ("cpcm:pareto", 3): "bf812e3c555cd662f5ffb960786ed155179d303cf3541d594e94d094ce0dd1d0",
+        ("linear", 1): "ba3b9cf93077ab4e3c5f9762395042d6d552f87ec9d4923db0441c056834aaf8",
+        ("additive", 1): "a7b66b10c440c85050c72bdb68a141146b7c37a49bff6c41f513b65ce7aa4265",
+        ("location-scale", 1): "72d88328299800fbc1959c45b7fc8bb2ca98776dec45fd4bb1463e4d66fa99a4",
+        ("cpcm:gaussian", 1): "237a5fc1333b5ccfc92d2426e27f5229ab87ed174d65f2e3dead8ab71750dfcc",
+        ("cpcm:gamma", 3): "aa61f91aefb986d5a9585c5cdced1e426b5821b79def1669aea0bbe79e67eae0",
+        ("cpcm:pareto", 3): "68323954d416b557b2bf615b57e44b50dde00817f880be3cba9c2f5cd3083393",
     }
 
     def test_result_bytes_pinned(self):
@@ -259,6 +261,21 @@ class TestSerialization:
 
 
 class TestDegenerateInput:
+    @pytest.mark.parametrize("label", ["additive", "location-scale", "cpcm:gaussian"])
+    def test_tiny_covariate_is_out_of_range(self, label):
+        # at scale 1e-170 the HSIC bandwidth's h^2 underflows to 0: each set
+        # that holds the column and gets past its fit is OutOfRange, and the
+        # search goes on over the rest
+        data = gen_benchmark2(3, 100).data
+        raw = np.column_stack([data.y, data.covariates(CandidateSet((1, 2, 3)))])
+        raw[:, 1] *= 1e-170
+        res = analyze(table(*raw.T), FunctionClass.parse(label), DiscoveryConfig(seed=0))
+        reasons = {v.candidate.members: v.reason for v in res.verdicts}
+        assert reasons == {
+            (1,): "RankDeficient", (2,): None, (3,): None,
+            (1, 2): "OutOfRange", (1, 3): "OutOfRange", (2, 3): None, (1, 2, 3): "OutOfRange",
+        }
+
     @pytest.mark.parametrize("label", ["additive", "location-scale", "cpcm:gaussian", "linear"])
     def test_duplicated_covariate_is_rank_deficient(self, label):
         rng = seeding.substream(3, 777)
