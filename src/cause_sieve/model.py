@@ -27,6 +27,11 @@ from .errors import (
 
 MIN_ROWS = 20
 MAX_P = 12  # enumeration cap: 2^12 - 1 candidate sets
+# The largest magnitude a table value may have.  The fits and tests square
+# differences of values and sum n of them: with every |v| <= 2^500 such a
+# sum is at most n (2 * 2^500)^2 = n 2^1002, below float64's 2^1024 for
+# every n < 2^22.  Scaling a column by a power of two is exact.
+MAX_MAGNITUDE = 2.0**500
 
 # stable integer codes for PRNG key derivation (never hash() strings)
 CLASS_CODES = {
@@ -133,7 +138,7 @@ def validate_dataset(values, names, target_name: str) -> Dataset:
     Raises ``MissingTarget``, ``NonFiniteEntry`` (with original row/column
     coordinates), ``ConstantColumn``, ``TooFewRows``, or ``ValidationError``
     for structural problems (duplicate names, no covariates, ragged rows,
-    non-numeric cells).
+    non-numeric cells) and for a column with a value past ``MAX_MAGNITUDE``.
     """
     names = tuple(str(c) for c in names)
     try:
@@ -157,6 +162,13 @@ def validate_dataset(values, names, target_name: str) -> Dataset:
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise NonFiniteEntry(int(row), int(col))
+    peaks = np.max(np.abs(arr), axis=0)
+    if np.any(peaks > MAX_MAGNITUDE):
+        j = int(np.argmax(peaks > MAX_MAGNITUDE))
+        raise ValidationError(
+            f"column {names[j]!r} has a value of magnitude {peaks[j]:.3g}, above 2^500 (about 3.3e150), past which "
+            "sums of squares overflow float64; rescale it, ideally by a power of two, which is exact"
+        )
 
     t = names.index(target_name)
     order = [t] + [j for j in range(arr.shape[1]) if j != t]

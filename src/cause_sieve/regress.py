@@ -28,17 +28,18 @@ penalized thin-plate-spline smoothing (penalty chosen by two-fold
 cross-validation); those classes restrict the noise to be additive, not the
 mean to be additive across covariates, so the smoother must represent
 interactions, and it must track the surface closely enough that the
-independence test sees only noise.  A model builds one (n, n) kernel,
-``_thin_plate`` of ``stattests.squared_differences``, and fits each of its
-splines on it (two for the location-scale class); the CV and the
-permutation losses use that kernel's coefficient layout, and the
-permutation pieces are the same squared differences, unsummed
-(``stattests.column_pieces``).  Each spline solves the saddle system
-[[K + lambda I, P], [P', 0]] (Wahba 1990) with scipy's LAPACK ``dgesv``,
-whose C pointer ``scipy.linalg.cython_lapack`` publishes.  Called through
-ctypes, it is the routine and library that scipy's f2py ``dgesv`` wraps and
-gives the same bits, but it releases the interpreter lock, which the f2py
-wrapper holds, so the solves of candidates on different threads overlap.
+independence test sees only noise.  A model builds one (n, n) kernel with
+``stattests.squared_differences``, which maps each row block by
+``_thin_plate`` as it is built, and fits each of its splines on it (two
+for the location-scale class); the CV and the permutation losses use
+that kernel's coefficient layout, and the permutation pieces are the same
+squared differences, unsummed (``stattests.column_pieces``).  Each spline
+solves the saddle system [[K + lambda I, P], [P', 0]] (Wahba 1990) with
+scipy's LAPACK ``dgesv``, whose C pointer ``scipy.linalg.cython_lapack``
+publishes.  Called through ctypes, it is the routine and library that
+scipy's f2py ``dgesv`` wraps and gives the same bits, but it releases the
+interpreter lock, which the f2py wrapper holds, so the solves of
+candidates on different threads overlap.
 The pointer's C signature is checked at import.  The parametric class uses
 the location-scale fit for the Gaussian family and kernel-local maximum
 likelihood or moment matching with Silverman bandwidths for the Pareto and
@@ -239,7 +240,7 @@ class _MeanSmoother(_Model):
         self.x_scale = np.std(x, axis=0)
         self.x_scale[self.x_scale == 0] = 1.0
         self.centres = x / self.x_scale
-        self._fit(_thin_plate(stattests.squared_differences(self.centres, self.centres)), y)
+        self._fit(stattests.squared_differences(self.centres, self.centres, finish=_thin_plate), y)
 
     def _fit(self, kernel: np.ndarray, y: np.ndarray) -> None:
         self.splines = (_Spline(kernel, self.centres, y),)
@@ -413,15 +414,14 @@ class _KernelLocalModel(_Model):
 
     def permutation_pieces(self, x: np.ndarray, y: np.ndarray):
         """The per-column Gaussian log-kernels to the training rows, their
-        transform, ``exp`` in place, and the score of the kernel weights."""
-
-        def transform(logw: np.ndarray) -> np.ndarray:
-            return np.exp(logw, out=logw)
+        transform, ``stattests.exp_in_place``, and the score of the kernel
+        weights."""
 
         def score(w: np.ndarray, pos: int, perms: np.ndarray) -> np.ndarray:
             return self.nll(w, y)
 
-        return stattests.column_pieces(x, self.x_train, stattests.gaussian_denoms(self.bandwidths)), transform, score
+        pieces = stattests.column_pieces(x, self.x_train, stattests.gaussian_denoms(self.bandwidths))
+        return pieces, stattests.exp_in_place, score
 
 
 class _ParetoLocalModel(_KernelLocalModel):

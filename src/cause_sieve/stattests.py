@@ -1,8 +1,8 @@
 """Statistical tests: HSIC independence, uniformity, permutation significance,
 and the kernel layer under them and under the fits in ``regress``: one
 builder of per-column pairwise squared differences, which with the
-denominators -2 h^2 is the Gaussian log-kernel, and one builder of the
-Gaussian kernel on top of it.
+denominators -2 h^2 is the Gaussian log-kernel, and which maps each row
+block it builds in place.
 
 The HSIC statistic is the biased V-statistic with Gaussian RBF kernels,
 reported on the n*HSIC scale.  The kernel on a multi-column block is the
@@ -10,12 +10,14 @@ product of univariate RBF kernels, one bandwidth per column by the median
 heuristic.  P-values come from the Gamma moment-matching approximation.
 
 One rule, :func:`_row_blocks`, cuts every (m, n) kernel into row blocks of
-``_BLOCK_BYTES``.  :func:`squared_differences` adds each further column to
-a block in one scratch block, allocated once per kernel, so it needs no
-second (m, n) array, and :func:`gaussian_kernel` exponentiates each block
-while it is in cache.  An HSIC test holds one (n, n) array, the centered
-covariate kernel, and two row blocks: each noise kernel streams through
-one reused block twice, once for its row sums and once more to be
+``_BLOCK_BYTES``, and one loop, :func:`squared_differences`, builds every
+kernel's row blocks.  It adds each further column to a block in one
+scratch block, allocated once per kernel, so it needs no second (m, n)
+array, and then applies the kernel's elementwise map to the block while it
+is in cache: ``exp`` for :func:`gaussian_kernel`, the thin-plate map for
+the splines in ``regress``.  An HSIC test holds one (n, n) array, the
+centered covariate kernel, and two row blocks: each noise kernel streams
+through one reused block twice, once for its row sums and once more to be
 centered, multiplied by the covariate kernel's rows and summed.  Both
 kernels are symmetric with a diagonal of ones, so their row sums give the
 centering and the off-diagonal means.  The sums are added block by block,
@@ -172,40 +174,47 @@ def _row_blocks(m: int, n: int) -> list[tuple[int, int]]:
 
 
 def squared_differences(
-    a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    a: np.ndarray, b: np.ndarray, denoms=None, out: np.ndarray | None = None, finish: Callable | None = None
 ) -> np.ndarray:
     """(m, n) sum over the columns j of (a_ij - b_kj)^2 between the rows of
     ``a`` (m, d) and ``b`` (n, d), each column's squares divided by
-    ``denoms[j]`` when given.
+    ``denoms[j]`` when given, and mapped by ``finish`` when given.
 
-    The columns are added in order, as scipy's ``cdist(a, b,
-    "sqeuclidean")`` adds them.  Each row block of ``out`` (a new array
-    when None) takes the first column and then each further one, built in
-    one scratch block, ``scratch`` when given, and added, so no second
-    (m, n) array exists.  A block row i is a_ij copied across the row and
-    b_kj subtracted in place: the same rounded a_ij - b_kj as
-    ``np.subtract.outer``, in about two thirds of its time at n = 2000.
-    Each column of ``b`` is read contiguously, from a Fortran-ordered copy
-    when ``b`` is C-ordered with several columns: at n = 2000 subtracting a
-    strided column from a block in cache took 1.4 times as long, and a
-    whole column's build a tenth longer.
+    This is the one loop that builds the rows of a kernel.  The columns are
+    added in order, as scipy's ``cdist(a, b, "sqeuclidean")`` adds them.
+    Each row block of ``out`` (a new array when None) takes the first column
+    and then each further one, built in one scratch block, allocated once
+    per call, and added, so no second (m, n) array exists.  Once its columns
+    are summed, the block is passed to ``finish``, an elementwise map that
+    overwrites it (:func:`exp_in_place` for a Gaussian kernel, the thin-plate
+    map for the spline), while it is still in cache; the map sees the same
+    floats in the same order as on the whole array, so it gives the same
+    bits.  A block row i is a_ij copied across the row and b_kj subtracted
+    in place: the same rounded a_ij - b_kj as ``np.subtract.outer``, in
+    about two thirds of its time at n = 2000.  Each column of ``b`` is read
+    contiguously, from a Fortran-ordered copy when ``b`` is C-ordered with
+    several columns: at n = 2000 subtracting a strided column from a block
+    in cache took 1.4 times as long, and a whole column's build a tenth
+    longer.
     """
     m, n = a.shape[0], b.shape[0]
     if out is None:
         out = np.empty((m, n))
     cols = np.asfortranarray(b)
-    if scratch is None and a.shape[1] > 1:
-        scratch = _scratch_block(m, n)
+    scratch = _scratch_block(m, n) if a.shape[1] > 1 else None
     for lo, hi in _row_blocks(m, n):
+        block = out[lo:hi]
         for j in range(a.shape[1]):
-            d = scratch[: hi - lo] if j else out[lo:hi]
+            d = scratch[: hi - lo] if j else block
             np.copyto(d, a[lo:hi, j, None])
             d -= cols[:, j]
             np.multiply(d, d, out=d)
             if denoms is not None:
                 d /= denoms[j]
             if j:
-                out[lo:hi] += d
+                block += d
+        if finish is not None:
+            finish(block)
     return out
 
 
@@ -230,6 +239,12 @@ def gaussian_denoms(hs) -> list[float]:
     return [-(2.0 * h * h) for h in hs]
 
 
+def exp_in_place(logk: np.ndarray) -> np.ndarray:
+    """``exp`` of a log-kernel, written over it: the map that makes the
+    Gaussian log-kernel the kernel."""
+    return np.exp(logk, out=logk)
+
+
 def gaussian_kernel(a: np.ndarray, b: np.ndarray, hs, out: np.ndarray | None = None) -> np.ndarray:
     """(m, n) product of per-column Gaussian kernels between the rows of
     ``a`` (m, d) and ``b`` (n, d): exp of the sum over columns j of
@@ -237,21 +252,11 @@ def gaussian_kernel(a: np.ndarray, b: np.ndarray, hs, out: np.ndarray | None = N
     None).  A row that equals a row of ``b`` gives exactly 1 there, since
     its log-kernel is a sum of -0.0.
 
-    The kernel is filled one row block at a time: the block's log-kernel is
-    built in place by :func:`squared_differences`, in one scratch block
-    allocated once for all the blocks, and exponentiated while it is in
-    cache.
+    It is :func:`squared_differences` with the denominators
+    :func:`gaussian_denoms` and the map :func:`exp_in_place`, so each row
+    block is exponentiated while it is in cache.
     """
-    m, n = a.shape[0], b.shape[0]
-    k = np.empty((m, n)) if out is None else out
-    cols = np.asfortranarray(b)  # contiguous columns, so no block copies them
-    denoms = gaussian_denoms(hs)
-    scratch = _scratch_block(m, n) if a.shape[1] > 1 else None
-    for lo, hi in _row_blocks(m, n):
-        block = k[lo:hi]
-        squared_differences(a[lo:hi], cols, denoms, block, scratch)
-        np.exp(block, out=block)
-    return k
+    return squared_differences(a, b, gaussian_denoms(hs), out, exp_in_place)
 
 
 def column_bandwidths(x: np.ndarray) -> list[float]:

@@ -138,9 +138,18 @@ def _corr_normal(rng: np.random.Generator, n: int, dim: int, rho: float) -> np.n
     return rng.standard_normal((n, dim)) @ np.linalg.cholesky(cov).T
 
 
-def _positive_perlin(fn: _PerlinNoise, y: np.ndarray) -> np.ndarray:
-    # exp-clamped positive scale component for child assignments
-    return np.exp(np.clip(fn(y), -1.5, 1.5))
+def _perlin(seed: int, *keys: int, **spec) -> _PerlinNoise:
+    """The function of ``PerlinFunction(**spec)`` under the generator's child
+    seed for ``keys``."""
+    return perlin_fn(PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, *keys), **spec))
+
+
+def _child(seed: int, i: int, y: np.ndarray, noise: np.ndarray, base_frequency: float) -> np.ndarray:
+    """Child covariate i of y, P1(y) + P2(y) * noise, with P2 exp-clamped
+    positive."""
+    p1 = _perlin(seed, 10 + i, dim=1, base_frequency=base_frequency, amplitude=1.5)
+    p2 = _perlin(seed, 20 + i, dim=1, base_frequency=base_frequency)
+    return p1(y) + np.exp(np.clip(p2(y), -1.5, 1.5)) * noise
 
 
 def _generator_rng(seed: int, n: int) -> np.random.Generator:
@@ -158,15 +167,9 @@ def gen_additive_grid(seed: int, n: int, c: float, gamma: float) -> GeneratedDat
         raise BadParam(f"gamma must lie in [0, 1], got {gamma}")
     if n < 100:
         raise BadParam(f"n must be at least 100, got {n}")
-    g1 = perlin_fn(
-        PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 1), dim=1, octaves=2, base_frequency=0.5, amplitude=2.0)
-    )
-    g2 = perlin_fn(
-        PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 2), dim=1, octaves=2, base_frequency=0.5, amplitude=2.0)
-    )
-    g12 = perlin_fn(
-        PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 3), dim=2, octaves=2, base_frequency=0.5, amplitude=3.0)
-    )
+    g1 = _perlin(seed, 1, dim=1, octaves=2, base_frequency=0.5, amplitude=2.0)
+    g2 = _perlin(seed, 2, dim=1, octaves=2, base_frequency=0.5, amplitude=2.0)
+    g12 = _perlin(seed, 3, dim=2, octaves=2, base_frequency=0.5, amplitude=3.0)
     rng = _generator_rng(seed, n)
     x = _corr_normal(rng, n, 2, c)
     eta = rng.standard_normal(n)
@@ -192,19 +195,8 @@ def gen_benchmark1(seed: int, n: int) -> GeneratedDataset:
     rng = _generator_rng(seed, n)
     etas = ndtr(_corr_normal(rng, n, 4, 0.5))
     x1 = etas[:, 0]
-    g_y = perlin_fn(
-        PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 1), dim=1, base_frequency=3.0, amplitude=2.0)
-    )
-    y = g_y(x1) + rng.standard_normal(n)
-    cols = [x1]
-    for i in (2, 3, 4):
-        p1 = perlin_fn(
-            PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 10 + i), dim=1, base_frequency=0.8, amplitude=1.5)
-        )
-        p2 = perlin_fn(
-            PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 20 + i), dim=1, base_frequency=0.8)
-        )
-        cols.append(p1(y) + _positive_perlin(p2, y) * etas[:, i - 1])
+    y = _perlin(seed, 1, dim=1, base_frequency=3.0, amplitude=2.0)(x1) + rng.standard_normal(n)
+    cols = [x1] + [_child(seed, i, y, etas[:, i - 1], 0.8) for i in (2, 3, 4)]
     return GeneratedDataset(
         data=_dataset(y, np.column_stack(cols)),
         true_pa=(1,),
@@ -219,10 +211,7 @@ def gen_benchmark2(seed: int, n: int) -> GeneratedDataset:
     3-D surface, standard normal noise."""
     rng = _generator_rng(seed, n)
     x = _corr_normal(rng, n, 3, 0.5)
-    g_y = perlin_fn(
-        PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 1), dim=3, octaves=2, base_frequency=0.3, amplitude=2.5)
-    )
-    y = g_y(x) + rng.standard_normal(n)
+    y = _perlin(seed, 1, dim=3, octaves=2, base_frequency=0.3, amplitude=2.5)(x) + rng.standard_normal(n)
     return GeneratedDataset(
         data=_dataset(y, x),
         true_pa=(1, 2, 3),
@@ -251,15 +240,7 @@ def gen_benchmark3(seed: int, n: int) -> GeneratedDataset:
         # parameter, and every parent keeps per-axis influence
         raw = np.zeros(n)
         for idx, i in enumerate(parents):
-            comp = perlin_fn(
-                PerlinFunction(
-                    seed=seeding.child_seed(seed, seeding.GENERATOR, 1, idx),
-                    dim=1,
-                    octaves=1,
-                    base_frequency=0.3,
-                )
-            )
-            raw += comp(x[:, i - 1])
+            raw += _perlin(seed, 1, idx, dim=1, octaves=1, base_frequency=0.3)(x[:, i - 1])
         raw /= np.sqrt(len(parents))
         # smooth squash keeps theta inside [0.5, 5] without flat saturation
         half_span = 0.5 * np.log(5.0 / 0.5)
@@ -268,15 +249,8 @@ def gen_benchmark3(seed: int, n: int) -> GeneratedDataset:
         theta = np.full(n, rng.uniform(0.5, 5.0))
     y = (1.0 - rng.random(n)) ** (-1.0 / theta)
     for i in (1, 2, 3):
-        if i in parents:
-            continue
-        p1 = perlin_fn(
-            PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 10 + i), dim=1, base_frequency=0.5, amplitude=1.5)
-        )
-        p2 = perlin_fn(
-            PerlinFunction(seed=seeding.child_seed(seed, seeding.GENERATOR, 20 + i), dim=1, base_frequency=0.5)
-        )
-        x[:, i - 1] = p1(y) + _positive_perlin(p2, y) * rng.random(n)
+        if i not in parents:
+            x[:, i - 1] = _child(seed, i, y, rng.random(n), 0.5)
     return GeneratedDataset(
         data=_dataset(y, x),
         true_pa=parents,

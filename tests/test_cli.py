@@ -93,6 +93,16 @@ class TestDiscover:
         assert rc == 2
         assert "smoother dimension cap" in capsys.readouterr().err
 
+    def test_value_past_the_float_bound_exits_2_naming_its_column(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        rows = ["Y,X1,X2"] + [f"{1e200 * rng.normal()!r},{rng.normal()!r},{rng.normal()!r}" for _ in range(60)]
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        rc = main(["discover", str(csv_path), "--target", "Y", "--class", "additive", "--out", str(tmp_path / "b.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "column 'Y'" in err and "power of two" in err
+
     def test_byte_identical_result(self, bench2_csv, tmp_path):
         args = ["discover", str(bench2_csv), "--target", "Y", "--class", "linear", "--mode", "both", "--seed", "11", "--out"]
         assert main(args + [str(tmp_path / "r1.json")]) == 0

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cause_sieve.discover import (
     score_search,
     select_score_estimate,
 )
-from cause_sieve.errors import BadParam, CauseSieveError, DomainViolation, TooManyCovariates
+from cause_sieve.errors import BadParam, CauseSieveError, DomainViolation, TooManyCovariates, ValidationError
 from cause_sieve.model import CLASS_CODES, CandidateSet, DiscoveryConfig, FunctionClass, enumerate_candidates
 from cause_sieve.synth import gen_benchmark1, gen_benchmark2, gen_benchmark3, gen_linear_chain
 
@@ -260,7 +261,42 @@ class TestSerialization:
         assert isinstance(doc["score_estimate"], list)
 
 
+def _extreme_columns(label):
+    """The target and two covariates of a 60-row table for ``label``, Y
+    depending on X1, Pareto and Gamma targets inside their support."""
+    rng = seeding.substream(8, 777)
+    x = rng.standard_normal((60, 2))
+    y = np.sin(x[:, 0]) + 0.5 * rng.standard_normal(60)
+    family = FunctionClass.parse(label).family
+    y = 1.0 + np.exp(y) if family == "pareto" else np.exp(y) if family == "gamma" else y
+    return [y, x[:, 0], x[:, 1]]
+
+
 class TestDegenerateInput:
+    @pytest.mark.parametrize("column", ["Y", "X1"])
+    @pytest.mark.parametrize("label", [FunctionClass(*key).label for key in CLASS_CODES])
+    def test_value_past_the_float_bound_names_its_column(self, label, column):
+        # squares of values near 1e154 overflow float64 inside the fits and
+        # tests: the table is refused, naming the column, before any fit
+        cols = _extreme_columns(label)
+        cols[["Y", "X1"].index(column)] *= 1e154
+        with pytest.raises(ValidationError, match=f"column '{column}' .* power of two"):
+            analyze(table(*cols), FunctionClass.parse(label), DiscoveryConfig(seed=0))
+
+    @pytest.mark.parametrize("label", [FunctionClass(*key).label for key in CLASS_CODES])
+    def test_values_at_the_bound_run_without_warning(self, label):
+        # each scaled column is brought into [-1, 1] by a power of two and
+        # then scaled by 2^500, the largest magnitude a table may hold
+        for scaled in ((0,), (1,), (0, 1, 2)):
+            cols = _extreme_columns(label)
+            for j in scaled:
+                cols[j] *= 2.0 ** (500 - math.ceil(math.log2(np.max(np.abs(cols[j])))))
+            assert max(np.max(np.abs(c)) for c in cols) <= 2.0**500
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = analyze(table(*cols), FunctionClass.parse(label), DiscoveryConfig(seed=0))
+            assert len(res.verdicts) == 3
+
     @pytest.mark.parametrize("label", ["additive", "location-scale", "cpcm:gaussian"])
     def test_tiny_covariate_is_out_of_range(self, label):
         # at scale 1e-170 the HSIC bandwidth's h^2 underflows to 0: each set

@@ -23,6 +23,7 @@ from cause_sieve.regress import (
     _KernelLocalModel,
     _LinearModel,
     _LocationScaleModel,
+    _MeanSmoother,
     _ParetoLocalModel,
     recover_noise,
 )
@@ -183,6 +184,35 @@ class TestFitLocationScale:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 1000 * 1000 * 8
+
+    def test_thin_plate_kernel_holds_no_whole_temporary(self, monkeypatch):
+        # each row block is mapped to the kernel while it is built, so the
+        # build holds the kernel and a few row blocks; mapping the whole
+        # array by np.maximum and np.log would read 3 kernel arrays
+        monkeypatch.setattr(_MeanSmoother, "_fit", lambda self, kernel, y: None)
+        rng = seeding.substream(5, 904)
+        x = rng.standard_normal((1000, 4))
+        tracemalloc.start()
+        try:
+            _MeanSmoother(x, x[:, 0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 1000 * 1000 * 8
+
+    def test_fit_holds_the_kernel_and_one_saddle_matrix(self):
+        # the (n, n) kernel, one (n + d + 1)^2 saddle matrix at a time and
+        # row blocks
+        rng = seeding.substream(5, 904)
+        x = rng.standard_normal((1000, 4))
+        y = np.sin(x[:, 0]) + rng.standard_normal(1000)
+        tracemalloc.start()
+        try:
+            _LocationScaleModel(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 1000 * 1000 * 8
 
     def test_fit_builds_one_kernel(self, monkeypatch):
         # the mean and log-variance splines share the one (n, n) kernel

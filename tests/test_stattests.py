@@ -9,12 +9,14 @@ from scipy.special import gammaincc
 from cause_sieve import seeding, stattests
 from cause_sieve.errors import BadParam, ConstantInput, OutOfRange, TooFewRows
 from cause_sieve.model import CandidateSet
-from cause_sieve.regress import _MeanSmoother
+from cause_sieve.regress import _MeanSmoother, _thin_plate
 from cause_sieve.stattests import (
     _hsic_test,
     _median_bandwidth,
     ad_uniform_test,
     column_bandwidths,
+    exp_in_place,
+    gaussian_denoms,
     gaussian_kernel,
     hsic_test,
     hsic_tests,
@@ -378,6 +380,28 @@ class TestSquaredDifferences:
                 out = np.full((m, 2000), np.nan)
                 assert squared_differences(a, b, divide, out) is out
                 assert out.tobytes() == expected.tobytes(), (m, divide is None)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_blocked_map_keeps_every_bit(self, d):
+        # each row block is mapped as soon as its columns are summed; the
+        # maps are elementwise, so the kernel is the map of the whole sum,
+        # bit for bit.  Rows of a tied to rows of b give r^2 = 0 in the
+        # first, a middle and the last, short block, which the thin-plate
+        # map must floor inside its block (log 0 would warn and give nan)
+        rng = seeding.substream(d, 931)
+        b = np.round(rng.standard_normal((2000, d)), 1)
+        hs = 0.3 + rng.random(d)
+        for m in (1, 33, 300):
+            a = np.round(rng.standard_normal((m, d)), 1)
+            tied = sorted({0, m // 2, m - 1})
+            partners = [5, 77, 1999][: len(tied)]
+            a[tied] = b[partners]
+            thin_plate = squared_differences(a, b, finish=_thin_plate)
+            assert thin_plate.tobytes() == _thin_plate(squared_differences(a, b)).tobytes(), m
+            assert np.all(thin_plate[tied, partners] == 0.0)
+            expected = np.exp(squared_differences(a, b, gaussian_denoms(hs)))
+            assert squared_differences(a, b, gaussian_denoms(hs), finish=exp_in_place).tobytes() == expected.tobytes()
+            assert gaussian_kernel(a, b, hs).tobytes() == expected.tobytes(), m
 
 
 class TestGaussianKernel:
