@@ -45,6 +45,14 @@ the location-scale fit for the Gaussian family and kernel-local maximum
 likelihood or moment matching with Silverman bandwidths for the Pareto and
 Gamma families, whose kernel weights are ``stattests.gaussian_kernel``.
 
+One rank rule, ``_centred_svd``, decides whether [1, x] has full column
+rank for the linear and spline fits, before any solve: d + 1 rows or more,
+no covariate constant on them, and covariates, centred and each divided by
+its largest |x - mean|, whose smallest singular value is above eps * max(n,
+d) * s_max.  The linear fit solves that centred design; a spline checks each
+design it solves, all rows and the two CV folds, once before its penalty
+loop, and ``dgesv``'s report of a singular system is only a last guard.
+
 The Gamma CDF is ``scipy.special.gammainc(shape, y / scale)`` and the
 linear slopes' t tail is ``scipy.special.stdtr(dof, -|t|)``: the functions
 that ``scipy.stats.gamma.cdf`` and ``scipy.stats.t.sf`` evaluate, called
@@ -88,6 +96,41 @@ class _Model:
 
     def significance_p(self, data: Dataset, s: CandidateSet, seed: int) -> np.ndarray:
         return stattests.perm_significance(data, s, type(self), seed=seed)
+
+
+# --------------------------------------------------------------------- #
+# the rank rule of the linear and spline designs
+# --------------------------------------------------------------------- #
+
+
+def _centred_svd(x: np.ndarray):
+    """The means and scales of the (n, d) covariates ``x`` and the thin SVD
+    (u, s, vt) of the covariates centred and each divided by its scale, the
+    largest |x - mean|; ``RankDeficient`` unless [1, x] has full column rank.
+
+    This is the one rank rule of the linear and spline fits.  [1, x] is
+    taken to be rank deficient when it has fewer than d + 1 rows, when a
+    covariate is constant on the rows, or when the smallest singular value of
+    the centred, scaled covariates is at most eps * max(n, d) * s_max, the
+    numerical rank of Golub & Van Loan and numpy's ``matrix_rank`` default.
+    Centring takes the intercept's collinearity out of the design (Belsley,
+    Kuh & Welsch 1980) and scaling takes out the units, so the verdict does
+    not move with a column's offset or scale.  The scale is a maximum, not a
+    norm built from squares, which underflow for a column at 1e-170."""
+    n, d = x.shape
+    if n < d + 1:
+        raise RankDeficient(f"{n} rows cannot fit the {d + 1} terms of [1, x]")
+    constant = np.flatnonzero(np.ptp(x, axis=0) == 0)
+    if constant.size:
+        raise RankDeficient(f"covariate {constant[0] + 1} of {d} is constant on its {n} rows")
+    means = np.mean(x, axis=0)
+    centred = x - means
+    scales = np.max(np.abs(centred), axis=0)
+    u, s, vt = np.linalg.svd(centred / scales, full_matrices=False)
+    tol = np.finfo(float).eps * max(n, d) * s[0]
+    if s[-1] <= tol:
+        raise RankDeficient(f"centred covariates have numerical rank {np.sum(s > tol)} < {d} (collinear covariates)")
+    return means, scales, (u, s, vt)
 
 
 # --------------------------------------------------------------------- #
@@ -183,10 +226,10 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> int:
 
 def _solve_spline(kernel: np.ndarray, xn: np.ndarray, yn: np.ndarray, penalty: float) -> np.ndarray:
     """[a; b] solving [[K + penalty I, P], [P', 0]] [a; b] = [yn; 0], P = [1, xn], in place
-    by LU; ``RankDeficient`` for fewer rows than columns of P or collinear covariates."""
+    by LU.  The rank of P is ``_centred_svd``'s to decide, before any solve;
+    ``RankDeficient`` when ``dgesv`` still meets a singular system is only a
+    last guard."""
     n, d = xn.shape
-    if n < d + 1:
-        raise RankDeficient(f"{n} rows cannot fit the spline's {d + 1} polynomial terms")
     lhs = np.zeros((n + d + 1, n + d + 1), order="F")
     lhs[:n, :n] = kernel
     lhs[np.diag_indices(n)] += penalty
@@ -205,18 +248,23 @@ class _Spline:
     The response is standardized, so one penalty grid serves every dataset.
     ``coeffs`` holds the weights a of the rows as centres, then those of
     [1, xn], on the scale of y.  The CV folds, the even and odd rows, take
-    their kernels as blocks of the given one.  The fitted values are
-    y - penalty * a, the first block row of the system.
+    their kernels as blocks of the given one.  Each design the spline solves,
+    all rows and the two folds, passes ``_centred_svd`` once, before the
+    penalty loop, so a collinear or constant fold fails before any solve.
+    The fitted values are y - penalty * a, the first block row of the system.
     """
 
     def __init__(self, kernel: np.ndarray, xn: np.ndarray, y: np.ndarray):
+        folds = ((0, 1), (1, 0)) if y.size >= 8 else ()  # even rows, then odd rows train
+        for rows in [slice(None)] + [slice(tr, None, 2) for tr, _ in folds]:
+            _centred_svd(xn[rows])
         y_mean, y_scale = float(np.mean(y)), max(float(np.std(y)), _TINY)
         yn = (y - y_mean) / y_scale
         best, best_err = PENALTY_GRID[0], np.inf
-        if y.size >= 8:
+        if folds:
             for lam in PENALTY_GRID:
                 err = 0.0
-                for tr, te in ((0, 1), (1, 0)):  # even rows, then odd rows train
+                for tr, te in folds:
                     coeffs = _solve_spline(kernel[tr::2, tr::2], xn[tr::2], yn[tr::2], lam)
                     err += float(np.mean((yn[te::2] - _spline_values(kernel[te::2, tr::2], xn[te::2], coeffs)) ** 2))
                 if err < best_err:
@@ -501,14 +549,18 @@ class _GammaLocalModel(_KernelLocalModel):
 
 
 class _LinearModel(_Model):
-    """OLS fit on the design [1, X] from its thin SVD; noise by rank PIT of
-    the residuals, significance by per-slope two-sided t-tests.
+    """OLS fit of y on X with an intercept; noise by rank PIT of the
+    residuals, significance by per-slope two-sided t-tests.
 
-    One SVD gives the coefficients, the rank and the standard errors; X'X,
-    whose condition number is the design's squared, is never formed.
-    Singular values at or below eps * max(n, d + 1) * s_max count as zero;
-    ``xtx_inv_diag`` is diag((X'X)^-1) = sum_j (vt[j, i] / s[j])^2, which
-    cannot go negative."""
+    ``_centred_svd`` decides the rank and gives the thin SVD of the centred
+    covariates, each scaled by its largest |x - mean|.  The centred target
+    is solved on that design, the slopes are mapped back by the scales, and
+    the intercept is mean(y) - mean(x) . beta; the fitted values are
+    mean(y) + (x - mean(x)) . beta, which avoids the cancellation of a large
+    offset.  X'X, whose condition number is the design's squared, is never
+    formed: ``xtx_inv_diag`` is the slopes' part of diag(([1, X]'[1, X])^-1),
+    that is diag((Xc'Xc)^-1) of the centred Xc, sum_j (vt[j, i] / (s[j]
+    scale_i))^2, which cannot go negative."""
 
     smoother = False
 
@@ -516,24 +568,20 @@ class _LinearModel(_Model):
         n, d = x.shape
         if d >= n - 1:
             raise BadParam(f"|s|={d} too large for n={n}")
-        design = np.column_stack([np.ones(n), x])
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
-        rank = int(np.sum(s > np.finfo(float).eps * max(design.shape) * s[0]))
-        if rank < design.shape[1]:
-            raise RankDeficient(f"design matrix rank {rank} < {design.shape[1]} (collinear covariates)")
-        vs = vt.T / s
-        coef = vs @ (u.T @ y)
+        means, scales, (u, s, vt) = _centred_svd(x)
+        y_mean = float(np.mean(y))
+        vs = vt.T / s / scales[:, None]
+        self.beta = vs @ (u.T @ (y - y_mean))
         self.xtx_inv_diag = np.sum(vs * vs, axis=1)
-        self.intercept = float(coef[0])
-        self.beta = coef[1:]
-        self.fitted = self.intercept + x @ self.beta
+        self.intercept = y_mean - float(means @ self.beta)
+        self.fitted = y_mean + (x - means) @ self.beta
 
     def significance_p(self, data: Dataset, s: CandidateSet, seed: int) -> np.ndarray:
         """Two-sided t-test p-value of each slope."""
         resid = data.y - self.fitted
         dof = resid.size - self.beta.size - 1
         sigma2 = float(resid @ resid) / dof
-        se = np.sqrt(sigma2 * self.xtx_inv_diag[1:])
+        se = np.sqrt(sigma2 * self.xtx_inv_diag)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_stats = np.where(se > 0, self.beta / se, np.inf)
         return np.clip(2.0 * stdtr(dof, -np.abs(t_stats)), 0.0, 1.0)

@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import run_python
 
 # scipy.stats and scipy.spatial together load several hundred modules and
 # most of a second; the package needs only scipy.special and scipy.linalg
@@ -15,7 +10,6 @@ print(*sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.spat
 
 
 def test_import_leaves_scipy_stats_and_spatial_unloaded():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", PROBE, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []

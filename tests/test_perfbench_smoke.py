@@ -5,15 +5,9 @@ names, so a signature change there can break the benchmark without any
 other test noticing.  This runs the harness's own smoke test.
 """
 
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import run_python
 
 
 def test_smoke_passes():
-    proc = subprocess.run(
-        [sys.executable, "perfbench/smoke.py"], cwd=ROOT, capture_output=True, text=True, timeout=600
-    )
+    proc = run_python("perfbench/smoke.py", timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr

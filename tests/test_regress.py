@@ -1,5 +1,6 @@
 import ctypes
 import hashlib
+import json
 import re
 import tracemalloc
 import warnings
@@ -13,9 +14,9 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 from scipy.stats import t as student_t
 
-from cause_sieve import regress, seeding, stattests
+from cause_sieve import analyze, regress, seeding, stattests
 from cause_sieve.errors import BadParam, DomainViolation, RankDeficient, StatError
-from cause_sieve.model import CLASS_CODES, CandidateSet, FunctionClass, enumerate_candidates
+from cause_sieve.model import CLASS_CODES, CandidateSet, DiscoveryConfig, FunctionClass, enumerate_candidates
 from cause_sieve.regress import (
     MODELS,
     PENALTY_GRID,
@@ -30,7 +31,7 @@ from cause_sieve.regress import (
 from cause_sieve.stattests import ad_uniform_test, gaussian_kernel, hsic_test
 from cause_sieve.synth import gen_benchmark1, gen_benchmark3
 
-from conftest import table
+from conftest import run_python, table
 
 LINEAR = FunctionClass("linear")
 ADDITIVE = FunctionClass("additive")
@@ -89,7 +90,7 @@ class TestFitLinear:
             rec = recover_noise(table(y, x1, x2), CandidateSet((1, 2)), LINEAR)
         p = rec.significance_p
         assert np.all(np.isfinite(p)) and np.all(p > 0.05), p
-        se = np.sqrt(float(rec.residuals @ rec.residuals) / (500 - 3) * rec.model.xtx_inv_diag[1:])
+        se = np.sqrt(float(rec.residuals @ rec.residuals) / (500 - 3) * rec.model.xtx_inv_diag)
         assert np.all(se > 0), se
 
     def test_null_significance_uniform(self):
@@ -336,6 +337,97 @@ class TestFitCpcm:
         assert passes >= 7
 
 
+def rank_verdicts() -> dict:
+    """The rank verdicts that must not depend on the kernel set: the error of
+    each spline model on a 60-row table whose covariate 3 copies covariate 1,
+    and the ``RankDeficient`` candidates of ``analyze`` on two benchmark 1
+    tables whose covariate 4 copies covariate 1."""
+    rng = seeding.substream(0, 913)
+    x = rng.standard_normal((60, 3))
+    x[:, 2] = x[:, 0]
+    y = np.cos(x[:, 0]) + rng.standard_normal(60)
+    verdicts = {}
+    for model_cls in (_MeanSmoother, _LocationScaleModel):
+        try:
+            model_cls(x, y)
+            verdicts[model_cls.__name__] = None
+        except StatError as exc:
+            verdicts[model_cls.__name__] = type(exc).__name__
+    for seed, n in ((903, 60), (902, 200)):
+        data = gen_benchmark1(seed, n).data
+        cols = data.covariates(CandidateSet((1, 2, 3, 4))).T
+        copied = table(data.y, *cols[:3], cols[0])
+        for label in ("additive", "location-scale", "linear"):
+            res = analyze(copied, FunctionClass.parse(label), DiscoveryConfig(seed=0))
+            failed = [list(v.candidate.members) for v in res.verdicts if v.reason == "RankDeficient"]
+            verdicts[f"{label} {seed}/{n}"] = failed
+    return verdicts
+
+
+class TestRankRule:
+    """``_centred_svd`` is the one rank rule of the linear and spline fits."""
+
+    def test_rank_verdicts_do_not_depend_on_the_kernel_set(self):
+        # OPENBLAS_CORETYPE=Haswell gives the child OpenBLAS's AVX2 kernels,
+        # under which dgesv meets no exactly zero pivot on some of these
+        # collinear systems; the rule decided before the solve gives the
+        # verdicts of the default kernels all the same
+        probe = "import json, sys; sys.path.insert(0, 'tests'); import test_regress as t; print(json.dumps(t.rank_verdicts()))"
+        proc = run_python("-c", probe, env={"OPENBLAS_CORETYPE": "Haswell"}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        with_both = [[1, 4], [1, 2, 4], [1, 3, 4], [1, 2, 3, 4]]
+        expected = {"_MeanSmoother": "RankDeficient", "_LocationScaleModel": "RankDeficient"}
+        for label in ("additive", "location-scale", "linear"):
+            expected.update({f"{label} 903/60": with_both, f"{label} 902/200": with_both})
+        assert rank_verdicts() == expected
+        assert json.loads(proc.stdout) == expected
+
+    def test_linear_answer_does_not_move_with_the_units(self):
+        # y = x + N(0, 1): shifting x, or scaling both columns, leaves the
+        # slope's t-test and the residuals' independence where they are.  A
+        # common scale of 1e-14 is left out: the residuals then fall under the
+        # absolute ConstantInput floor of stattests._checked_hsic_inputs, a
+        # scale-dependent constant of the HSIC path, not of the rank rule
+        rng = seeding.substream(0, 914)
+        x = rng.standard_normal(60)
+        y = x + rng.standard_normal(60)
+
+        def answer(y, x):
+            res = analyze(table(y, x), LINEAR, DiscoveryConfig(seed=0))
+            return res.isd_estimate, res.plausible_sets
+
+        assert answer(y, x) == ((1,), [CandidateSet((1,))])
+        for cols in ((y, x + 1e8), (y, x + 1e12), (1e14 * y, 1e14 * x)):
+            assert answer(*cols) == answer(y, x)
+
+    def test_rule_runs_once_per_design_before_any_solve(self, monkeypatch):
+        # a spline solves all rows and the two CV folds, each at five
+        # penalties; the rule runs once per design, not once per solve
+        calls = []
+        centred_svd = regress._centred_svd
+
+        def counting(x):
+            calls.append(x.shape)
+            return centred_svd(x)
+
+        monkeypatch.setattr(regress, "_centred_svd", counting)
+        rng = seeding.substream(6, 904)
+        x = rng.standard_normal((200, 3))
+        y = np.sin(x[:, 0]) + rng.standard_normal(200)
+        _MeanSmoother(x, y)
+        assert calls == [(200, 3), (100, 3), (100, 3)]
+
+        def no_solve(a, b):
+            raise AssertionError("a system was solved before the rank rule")
+
+        # a binary covariate whose even rows are all 0: constant on the fold
+        # of the even rows, which the rule refuses before any solve
+        x[:, 1] = np.arange(200) % 4 == 1
+        monkeypatch.setattr(regress, "_lu_solve", no_solve)
+        with pytest.raises(RankDeficient, match="covariate 2 of 3 is constant on its 100 rows"):
+            _MeanSmoother(x, y)
+
+
 def _saddle_system(x, y, penalty):
     """The spline's standardized covariates, response and kernel, with the
     system ``_solve_spline`` solves for them, written out here."""
@@ -443,10 +535,10 @@ class TestScipyEquivalence:
         y = x @ np.array([0.0, 0.3, 2.0]) + rng.standard_normal(n)
         data = table(y, *(x[:, j] for j in range(3)))
         model = _LinearModel(x, y)
-        model.xtx_inv_diag[2] = 0.0  # slope 2 reads se = 0
+        model.xtx_inv_diag[1] = 0.0  # slope 2 reads se = 0
         resid = y - model.fitted
         dof = n - 4
-        se = np.sqrt(float(resid @ resid) / dof * model.xtx_inv_diag[1:])
+        se = np.sqrt(float(resid @ resid) / dof * model.xtx_inv_diag)
         with np.errstate(divide="ignore"):
             t_stats = np.where(se > 0, model.beta / se, np.inf)
         expected = 2.0 * student_t.sf(np.abs(t_stats), dof)
@@ -460,7 +552,7 @@ class TestScipyEquivalence:
 # fails.  The result JSON carries none of these floats, so this pins the
 # fit layer itself; a digest may move only with a deliberate numeric change
 FIT_PINNED = {
-    "linear": "c7639541290a1d4fc2dce0cf5f368d9c911384209835260ee15a856ca6afdb48",
+    "linear": "44b8da4bb45e2abad021a1a388690c869dc2d5aca6c987d10016bed46935bd88",
     "additive": "e325efc619e8fdffecf964eb6a73135951f13ad9af632defca50faf1d340c1fa",
     "location-scale": "e17ffc9a13a3cddad394aa8f370bda194d3f0f144ad4f2a5cd507d3a2009df8e",
     "cpcm:gaussian": "0db027d937caaf27bda6456864afbd12326dc9ebe746cf2aeb3596c34fdd1055",
