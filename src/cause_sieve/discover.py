@@ -49,7 +49,9 @@ class PlausibilityVerdict:
     """The one record of a candidate set: its answers to the three questions,
     read by both the ISD intersection and the score search.  A class that
     skips the uniformity question reports ``p_dist = 1.0``; a failed fit
-    reports NaN p-values and the error class in ``reason``.
+    reports NaN p-values, the error class in ``reason`` and the error's
+    message in ``detail``, which tells apart the cases one class covers
+    (``result_to_json`` writes neither).
 
     The score terms are read off the p-values: ln p_indep, ln(1 - p_sig_max)
     and ln p_dist, each clamped at ``LOG_P_FLOOR``, and ``total``, their plain
@@ -64,6 +66,7 @@ class PlausibilityVerdict:
     p_dist: float
     plausible: bool
     reason: str | None = None
+    detail: str | None = None
 
     def _term(self, p: float) -> float:
         return NEG_INF if self.reason is not None else _log_p(p)
@@ -126,7 +129,9 @@ def _check_plausibility(
         # one degenerate candidate (domain violation, rank deficiency, ...)
         # must not abort a full search: score it implausible and move on
         nan = float("nan")
-        return PlausibilityVerdict(s, False, nan, False, nan, False, nan, plausible=False, reason=type(exc).__name__)
+        return PlausibilityVerdict(
+            s, False, nan, False, nan, False, nan, plausible=False, reason=type(exc).__name__, detail=str(exc)
+        )
     p_indep, p_sig_max = float(indep.p_value), float(np.max(recovery.significance_p))
     independent, significant, uniform = p_indep > cfg.alpha, p_sig_max < cfg.alpha, p_dist > cfg.alpha
     return PlausibilityVerdict(

@@ -10,11 +10,16 @@ against one:
 - numpy ufuncs on whole arrays, ``np.take`` and ``np.dot`` release it; the
   matrix-vector ``@`` does not (x1.0 at 250 x 250, where ``np.dot`` gives
   x1.4 and the same bits).  The permuted losses of
-  ``stattests.perm_significance``, most of a spline candidate's time, are
-  written from such calls and scored in batches: the significance test of
-  two four-member candidates runs x1.5 faster on two threads than in
-  turn, and x1.1-1.2 when each permutation is scored alone, its two dozen
-  small calls each taking the lock back;
+  ``stattests.perm_significance`` are written from such calls.  A spline
+  candidate's, most of its time, are scored in batches of (m, P) stacks
+  (``stattests.piece_losses``): the significance test of two four-member
+  candidates runs x1.5 faster on two threads than in turn, and x1.1-1.2
+  when each permutation is scored alone, its two dozen small calls each
+  taking the lock back.  A kernel-local candidate's are one (m, m) GEMM per
+  sum and covariate, then gathers of 50 permutations at a time, each a few
+  dozen calls on (50, m) arrays: the significance tests of two
+  three-member candidates at n = 500 run x1.3 faster on two threads than
+  in turn (median of 7);
 - the spline solve, LAPACK ``dgesv``, releases it as ``regress`` calls it,
   through scipy's ``cython_lapack`` pointer: at n = 500 two threads run
   twice the solves in x0.97-1.37 the time one thread takes, against

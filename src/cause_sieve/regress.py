@@ -6,16 +6,17 @@ facts.  Its constructor fits ``(x, y)``; ``noise(y)`` returns the noise on
 the (0,1) scale with its residuals and fit loss; ``significance_p(data, s,
 seed)`` gives one p-value per member of ``s``: held-out permutation
 significance, or the linear slopes' t-tests.  ``stattests.perm_significance``
-refits the class and reads its ``permutation_pieces(x, y)``: the per-column
-pieces, an elementwise ``transform`` of their sums and the ``score`` of a
-transformed stack, whose composition is the held-out loss; that function's
-docstring states the protocol, and why a one-member candidate's pieces are
-transformed once and then only gathered.  The scores take a batch: a
-(B, m, P) stack and B permutations give B losses, each the float its slice
-gives alone, since elementwise work and reductions over the last axis do
-not mix slices and every matrix product is one ``np.dot`` per slice
+refits the class and reads one callable from it, ``permutation_losses(x,
+y)``; that function's docstring states the protocol.  The splines build it
+from their ``permutation_pieces(x, y)`` with ``stattests.piece_losses``: the
+per-column pieces, an elementwise ``transform`` of their sums and the
+``score`` of a transformed (B, m, P) stack, B losses, each the float its
+slice gives alone, since elementwise work and reductions over the last axis
+do not mix slices and every matrix product is one ``np.dot`` per slice
 (``_slice_dot``).  The scores use ``np.dot``, not ``@``, because the matrix-
-vector ``@`` holds the interpreter lock; the fits keep ``@``.  ``smoother``
+vector ``@`` holds the interpreter lock; the fits keep ``@``.  The
+kernel-local families gather their weighted sums from Gram matrices
+(``_KernelLocalModel.permutation_losses``).  ``smoother``
 says whether ``SMOOTHER_DIM_CAP`` bounds ``|s|`` (all but linear);
 ``check_support(y)`` raises ``DomainViolation`` outside the family's
 support (Pareto y >= 1, Gamma y > 0); ``parametric`` marks the cpcm
@@ -44,6 +45,9 @@ The pointer's C signature is checked at import.  The parametric class uses
 the location-scale fit for the Gaussian family and kernel-local maximum
 likelihood or moment matching with Silverman bandwidths for the Pareto and
 Gamma families, whose kernel weights are ``stattests.gaussian_kernel``.
+Both estimates read only sums of the weights times 1, ln y, y or y^2, which
+are linear in the weights, so a permuted point's sums are entries of one
+(m, m) Gram matrix per sum and no kernel is rebuilt per permutation.
 
 One rank rule, ``_centred_svd``, decides whether [1, x] has full column
 rank for the linear and spline fits, before any solve: d + 1 rows or more,
@@ -336,6 +340,11 @@ class _MeanSmoother(_Model):
 
         return pieces, transform, score
 
+    def permutation_losses(self, x: np.ndarray, y: np.ndarray):
+        """The ``losses(pos, perms)`` of ``stattests.perm_significance``:
+        ``stattests.piece_losses`` of the permutation pieces."""
+        return stattests.piece_losses(*self.permutation_pieces(x, y))
+
 
 # E[log eps^2] for standard normal eps: psi(1/2) + log 2.  The smoother of
 # log squared residuals estimates log sigma^2 plus this constant; without
@@ -420,16 +429,25 @@ def _silverman(x: np.ndarray, dim: int) -> float:
 CPCM_BANDWIDTH_SCALE = 0.8
 
 
+# A local Gamma variance second - mu^2 at or below this share of the second
+# moment has lost all but about 4 of its 53 bits to cancellation, so its sign
+# and size are rounding: the verdict would depend on how the sums were added.
+_GAMMA_VAR_FLOOR = 16 * np.finfo(float).eps
+
+
 class _KernelLocalModel(_Model):
     """Kernel-weighted local parameter estimates of a parametric family.
 
-    A family subclass supplies ``_local_params(w)``, the parameters from the
-    (m, n) kernel weights of m evaluation points, or from a (B, m, n) stack
-    of them; ``nll(w, y)``, the mean negative log-likelihood under them, one
-    per (m, n) slice; and ``_transform(y, params)``, the
-    noise F(y; theta(x)) with the fit loss.  The transform is NOT rank
-    rescaled: only the parametric class carries distributional content, and
-    the uniformity question has to see it.
+    Every local estimate reads only weighted sums over the training rows c,
+    sum_c w_ic f(y_c), for the family's ``_moments`` f: the running products
+    of 1 and its ``_factors(y)`` (ln y for the Pareto index; y and y again,
+    so 1, y and y^2, for the Gamma moments).  A family subclass supplies
+    ``_factors``; ``_params(sums)``, the parameters from the sums, which
+    holds every degeneracy check of the family; ``nll(params, y)``, the mean
+    negative log-likelihood of y under them along the last axis; and
+    ``_transform(y, params)``, the noise F(y; theta(x)) with the fit loss.
+    The transform is NOT rank rescaled: only the parametric class carries
+    distributional content, and the uniformity question has to see it.
     """
 
     parametric = True
@@ -439,19 +457,24 @@ class _KernelLocalModel(_Model):
         self.y_train = y
         d = x.shape[1]
         self.bandwidths = CPCM_BANDWIDTH_SCALE * np.array([_silverman(x[:, j], d) for j in range(d)])
+        self._moments = np.cumprod([np.ones_like(y), *self._factors(y)], axis=0)
 
     @staticmethod
-    def _weight_sums(w: np.ndarray) -> np.ndarray:
-        """Row sums of the kernel weights; ``DegenerateTheta`` if one underflows."""
-        sw = w.sum(axis=-1)
+    def _check_mass(sw: np.ndarray) -> None:
+        """``DegenerateTheta`` if a point's kernel weights sum to the smallest
+        normal float or less."""
         if np.any(sw <= _TINY):
             raise DegenerateTheta("kernel weights underflow away from the data")
-        return sw
+
+    def _weighted_sums(self, w: np.ndarray) -> tuple:
+        """The sums ``_params`` reads from the (m, n) kernel weights ``w``:
+        the row sums of w, then w @ f for each further moment f."""
+        return (w.sum(axis=-1), *(w @ f for f in self._moments[1:]))
 
     def theta(self, x_ev: np.ndarray):
-        """Local parameters at the evaluation points (see ``_local_params``)
-        from the Gaussian kernel weights to the training rows."""
-        return self._local_params(stattests.gaussian_kernel(x_ev, self.x_train, self.bandwidths))
+        """Local parameters at the evaluation points (see ``_params``) from
+        the Gaussian kernel weights to the training rows."""
+        return self._params(self._weighted_sums(stattests.gaussian_kernel(x_ev, self.x_train, self.bandwidths)))
 
     def noise(self, y: np.ndarray):
         """The parametric transform at the training rows, clipped strictly
@@ -460,16 +483,60 @@ class _KernelLocalModel(_Model):
         eps = np.clip(eps, EPS_CLIP, 1.0 - EPS_CLIP)
         return eps, eps, fit_loss
 
-    def permutation_pieces(self, x: np.ndarray, y: np.ndarray):
-        """The per-column Gaussian log-kernels to the training rows, their
-        transform, ``stattests.exp_in_place``, and the score of the kernel
-        weights."""
+    def permutation_losses(self, x: np.ndarray, y: np.ndarray):
+        """The ``losses(pos, perms)`` of ``stattests.perm_significance`` on
+        the held-out rows (x, y), read from one (m, m) Gram matrix per sum.
 
-        def score(w: np.ndarray, pos: int, perms: np.ndarray) -> np.ndarray:
-            return self.nll(w, y)
+        With column ``pos`` permuted by pi, the weight of held-out row i on
+        training row c is E[pi(i), c] R[i, c], where E = exp(piece_pos) and R
+        = exp(rest) is the product of the other columns' exponentiated
+        Gaussian log-kernels.  So every sum a permutation of ``pos`` needs is
+        an entry of H_f = (R f) @ E', one GEMM per moment f, built the first
+        time ``pos`` is asked for: permutation pi's sums at row i are H_f[i,
+        pi(i)].  With one member R is 1 and H_f is the one row E @ f.  The
+        log-kernels are exponentiated in place, and R is formed one
+        ``stattests._row_blocks`` block of rows at a time and multiplied in
+        place by each factor in turn, so a position holds the d kernels, its
+        Gram matrices and one block: no (B, m, P) stack.  exp(a) exp(b), and
+        (R y) y, differ from exp(a + b) and R y^2 in the last bits, which
+        reach a p-value only at a near-tie of a permuted and the baseline
+        loss."""
+        exps = stattests.exp_in_place(
+            stattests.column_pieces(x, self.x_train, stattests.gaussian_denoms(self.bandwidths))
+        )
+        d, m, n_train = exps.shape
+        factors = self._factors(self.y_train)
+        gram = np.empty((len(self._moments), m if d > 1 else 1, m))
+        sums_of = gram.reshape(len(gram), -1)
+        starts = np.arange(m) * m if d > 1 else 0  # where row i's sums start
+        block = stattests._scratch_block(m, n_train) if d > 1 else None
+        built = None
 
-        pieces = stattests.column_pieces(x, self.x_train, stattests.gaussian_denoms(self.bandwidths))
-        return pieces, stattests.exp_in_place, score
+        def build(pos: int) -> None:
+            others = [j for j in range(d) if j != pos]
+            if not others:
+                for k, f in enumerate(self._moments):
+                    np.dot(exps[pos], f, out=gram[k, 0])
+                return
+            for lo, hi in stattests._row_blocks(m, n_train):
+                rest = block[: hi - lo]
+                np.copyto(rest, exps[others[0], lo:hi])
+                for j in others[1:]:
+                    rest *= exps[j, lo:hi]
+                for k in range(len(gram)):
+                    if k:
+                        rest *= factors[k - 1]
+                    np.dot(rest, exps[pos].T, out=gram[k, lo:hi])
+
+        def losses(pos: int, perms: np.ndarray) -> np.ndarray:
+            nonlocal built
+            if pos != built:
+                build(pos)
+                built = pos
+            sums = np.take(sums_of, perms + starts, axis=1)
+            return self.nll(self._params(sums), y)
+
+        return losses
 
 
 class _ParetoLocalModel(_KernelLocalModel):
@@ -485,22 +552,24 @@ class _ParetoLocalModel(_KernelLocalModel):
         """The transform at the global MLE 1/mean(ln y)."""
         return cls._transform(y, 1.0 / np.mean(np.log(y)))[0]
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        super().__init__(x, y)
-        self._log_y = np.log(y)
+    @staticmethod
+    def _factors(y: np.ndarray) -> tuple:
+        return (np.log(y),)
 
-    def _local_params(self, w: np.ndarray) -> np.ndarray:
-        """Tail index solving the weighted likelihood equation; with uniform
-        weights it collapses to the global MLE 1/mean(ln y)."""
-        sw = self._weight_sums(w)
+    def _params(self, sums) -> np.ndarray:
+        """Tail index solving the weighted likelihood equation, sum w / sum w
+        ln y; with uniform weights it collapses to the global MLE 1/mean(ln
+        y)."""
+        sw, s_log = sums
+        self._check_mass(sw)
         with np.errstate(divide="ignore"):
-            theta = sw / _slice_dot(w, self._log_y)
+            theta = sw / s_log
         if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
             raise DegenerateTheta("non-positive or non-finite Pareto index")
         return theta
 
-    def nll(self, w: np.ndarray, y: np.ndarray):
-        theta = self._local_params(w)
+    @staticmethod
+    def nll(theta: np.ndarray, y: np.ndarray):
         return np.mean(-np.log(theta) + (theta + 1.0) * np.log(y), axis=-1)
 
     @staticmethod
@@ -522,18 +591,28 @@ class _GammaLocalModel(_KernelLocalModel):
         mu, var = np.mean(y), np.var(y, ddof=1)
         return cls._transform(y, (mu * mu / var, var / mu))[0]
 
-    def _local_params(self, w: np.ndarray):
-        """(shape, scale) by weighted moment matching."""
-        sw = self._weight_sums(w)
-        mu = _slice_dot(w, self.y_train) / sw
-        second = _slice_dot(w, self.y_train * self.y_train) / sw
+    @staticmethod
+    def _factors(y: np.ndarray) -> tuple:
+        return (y, y)
+
+    def _params(self, sums):
+        """(shape, scale) by weighted moment matching.  ``DegenerateTheta``
+        when a local variance is at most ``_GAMMA_VAR_FLOOR`` of its second
+        moment: then only rounding decides whether it is positive."""
+        sw, s_y, s_yy = sums
+        self._check_mass(sw)
+        mu = s_y / sw
+        second = s_yy / sw
         var = second - mu * mu
-        if np.any(mu <= 0) or np.any(var <= 0) or not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise DegenerateTheta("degenerate local Gamma moments")
+        if np.any(mu <= 0) or not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
+            raise DegenerateTheta("degenerate local Gamma moments: a non-positive or non-finite mean or variance")
+        if np.any(var <= _GAMMA_VAR_FLOOR * second):
+            raise DegenerateTheta("degenerate local Gamma moments: a variance within rounding of zero")
         return mu * mu / var, var / mu
 
-    def nll(self, w: np.ndarray, y: np.ndarray):
-        shape, scale = self._local_params(w)
+    @staticmethod
+    def nll(params, y: np.ndarray):
+        shape, scale = params
         nll = -(shape - 1.0) * np.log(y) + y / scale + shape * np.log(scale) + gammaln(shape)
         return np.mean(nll, axis=-1)
 

@@ -39,10 +39,15 @@ from .errors import BadParam, ConstantInput, OutOfRange, TooFewRows
 from .model import MIN_ROWS, CandidateSet, Dataset
 
 SIG_PERMUTATIONS = 99  # permutations per covariate in the significance test
-# Bytes of permuted pieces scored per batch in the significance test: three
-# 250 x 250 slices at n = 500, one slice at n = 2000.  The thin-plate loss
-# holds a scratch stack of the same size; nine slices were no faster and
-# raised the peak memory of an n = 500 spline table by a fifth.
+# Permutations drawn and scored per call of a model's losses, so the memory
+# of the drawn permutations and of what a call gathers from them does not
+# grow with n_perm.  At n = 500 the kernel-local tests took the same time
+# within 10% with 10, 25, 50 or 99 per call.
+_PERMS_PER_CALL = 50
+# Bytes of permuted pieces scored per batch by piece_losses: three 250 x 250
+# slices at n = 500, one slice at n = 2000.  The thin-plate loss holds a
+# scratch stack of the same size; nine slices were no faster and raised the
+# peak memory of an n = 500 spline table by a fifth.
 _BATCH_BYTES = 1_500_000
 
 
@@ -453,6 +458,59 @@ def _ad_p_value(a2: float) -> float:
     return float(min(max(1.0 - cdf, 0.0), 1.0))
 
 
+def piece_losses(pieces: np.ndarray, transform: Callable, score: Callable) -> Callable:
+    """The ``losses(pos, perms)`` of :func:`perm_significance` for a model
+    whose held-out loss is a ``score`` of ``transform``ed sums of per-column
+    pieces: the thin-plate splines of ``regress``.
+
+    ``pieces`` is the (d, m, P) array of per-column pieces that sum over the
+    d columns to what the loss reads (thin-plate squared distances to the P
+    centres); ``transform(stack)`` maps a stack of such sums elementwise, in
+    place, and returns it (r^2 log r^2); and ``score(stack, pos, perms)``
+    gives the held-out losses of a (B, m, P) transformed stack, slice b with
+    column ``pos`` reordered by ``perms[b]``, as B floats, and may overwrite
+    ``stack``.  Permuting column ``pos`` replaces one piece, so no model is
+    re-evaluated from scratch: with rest = the sum of the other columns'
+    pieces, formed once per position, slice b is ``pieces[pos][perms[b]] +
+    rest``, transformed.  With one member rest is 0, and since the transform
+    is elementwise, slice b is the transformed piece gathered by
+    ``perms[b]``, bit for bit: that piece is transformed once and each batch
+    only gathered and scored.
+
+    The permutations are scored in batches of B, gathered by ``np.take``
+    into one stack allocated here.  B is as many (m, P) slices as fit in
+    ``_BATCH_BYTES``, at least one: a batch costs the few dozen numpy calls
+    of one permutation, each of which releases the interpreter lock and
+    takes it back.  ``mode="clip"`` lets ``take`` write into ``out=``
+    directly; the default mode gathers into a buffer of its own and copies.
+    Slice b's loss does not depend on the other slices, so the losses do not
+    depend on how the permutations are batched.
+    """
+    gather_only = pieces.shape[0] == 1
+    if gather_only:
+        pieces = transform(pieces)
+    batch = max(1, _BATCH_BYTES // pieces[0].nbytes)
+    stack = np.empty((batch,) + pieces.shape[1:])
+    rest, built = 0, None
+
+    def losses(pos: int, perms: np.ndarray) -> np.ndarray:
+        nonlocal rest, built
+        if pos != built:
+            rest, built = sum(pieces[j] for j in range(pieces.shape[0]) if j != pos), pos  # 0 for one column
+        out = np.empty(len(perms))
+        for lo in range(0, len(perms), batch):
+            hi = min(lo + batch, len(perms))
+            batch_stack = stack[: hi - lo]
+            np.take(pieces[pos], perms[lo:hi], axis=0, out=batch_stack, mode="clip")
+            if not gather_only:
+                batch_stack += rest
+                transform(batch_stack)
+            out[lo:hi] = score(batch_stack, pos, perms[lo:hi])
+        return out
+
+    return losses
+
+
 def perm_significance(
     data: Dataset,
     s: CandidateSet,
@@ -462,34 +520,22 @@ def perm_significance(
 ) -> np.ndarray:
     """Permutation-importance p-values, one per member of ``s``.
 
-    ``refit(x, y)`` fits the class-appropriate model, and the model's
-    ``permutation_pieces(x, y)`` on the held-out rows returns three things:
-    a (d, m, P) array of per-column pieces that sum over the d columns to
-    what the loss reads (thin-plate squared distances to the P centres,
-    Gaussian log-kernels to the P training rows); ``transform(stack)``,
-    which maps a stack of such sums elementwise, in place, and returns it
-    (r^2 log r^2 for the thin-plate splines, ``exp`` for the kernel-local
-    families); and ``score(stack, pos, perms)``, the held-out losses of a
-    (B, m, P) transformed stack, slice b with column ``pos`` reordered by
-    ``perms[b]``, as B floats.  The loss is ``score(transform(stack), pos,
-    perms)``; ``score`` may overwrite ``stack``, and slice b's loss does not
-    depend on the other slices.  Every model refitted here supplies all
-    three, so permuting column ``pos`` replaces one piece and no model is
-    re-evaluated from scratch: with rest = the sum of the other columns'
-    pieces, formed once per position, slice b is ``pieces[pos][perms[b]] +
-    rest``, transformed.  With one member rest is 0, and since the
-    transform is elementwise, slice b is the transformed piece gathered by
-    ``perms[b]``, bit for bit: that piece is transformed once per call and
-    each batch only gathered and scored.  The baseline is the identity
-    permutation of column 0.
+    ``refit(x, y)`` fits the class-appropriate model on the training rows,
+    and the model's ``permutation_losses(x, y)`` on the held-out rows returns
+    one callable, ``losses(pos, perms)``: for a (B, m) array of permutations
+    of the m held-out rows, the B held-out losses with column ``pos``
+    reordered by ``perms[b]``, as floats.  Loss b depends on ``perms[b]``
+    alone, not on the other rows of ``perms``, and a model may build what
+    one position needs the first time it is asked for it: the positions are
+    asked for in order, each once its permutations start.  The splines score
+    stacks of summed column pieces (:func:`piece_losses`); the kernel-local
+    families gather their weighted sums from one Gram matrix per sum
+    (``regress._KernelLocalModel.permutation_losses``).  The baseline is the
+    identity permutation of column 0.
 
-    The permutations are drawn one at a time, in the same order for any B,
-    and scored in batches of B, gathered by ``np.take`` into one stack
-    allocated per call.  B is as many (m, P) slices as fit in
-    ``_BATCH_BYTES``, at least one: a batch costs the few dozen numpy calls
-    of one permutation, each of which releases the interpreter lock and
-    takes it back.  ``mode="clip"`` lets ``take`` write into ``out=``
-    directly; the default mode gathers into a buffer of its own and copies.
+    The permutations are drawn one at a time from each member's own
+    substream, in the same order for any batching, and passed to ``losses``
+    ``_PERMS_PER_CALL`` at a time, so no array here grows with ``n_perm``.
 
     The model is fitted on a held-out split: half the rows train the model,
     the other half supply the losses.  Comparing the held-out baseline with
@@ -505,35 +551,18 @@ def perm_significance(
     x, y, half = data.covariates(s), data.y, data.n // 2
     order = seeding.substream(seed, seeding.SIG_SPLIT, *s.members).permutation(data.n)
     train, test = order[:half], order[half:]
-    pieces, transform, score = refit(x[train], y[train]).permutation_pieces(x[test], y[test])
+    losses = refit(x[train], y[train]).permutation_losses(x[test], y[test])
     m = test.size
-    gather_only = len(s) == 1
-    if gather_only:
-        pieces = transform(pieces)
-    batch = max(1, _BATCH_BYTES // pieces[0].nbytes)
-    stack = np.empty((batch,) + pieces.shape[1:])
-    perms = np.empty((batch, m), dtype=np.intp)
-
-    def losses(pos: int, rest, k: int) -> np.ndarray:
-        """The losses of column ``pos`` permuted by each of ``perms[:k]``."""
-        np.take(pieces[pos], perms[:k], axis=0, out=stack[:k], mode="clip")
-        if not gather_only:
-            stack[:k] += rest
-            transform(stack[:k])
-        return score(stack[:k], pos, perms[:k])
-
+    base = losses(0, np.arange(m)[None])[0]
+    perms = np.empty((min(n_perm, _PERMS_PER_CALL), m), dtype=np.intp)
     p_values = np.empty(len(s))
     for pos, member in enumerate(s.members):
-        rest = sum(pieces[j] for j in range(len(s)) if j != pos)  # 0 for one column
-        if pos == 0:
-            perms[0] = np.arange(m)
-            base = losses(0, rest, 1)[0]
         col_rng = seeding.substream(seed, seeding.SIG_PERM, member, *s.members)
         count = 0
-        for done in range(0, n_perm, batch):
-            k = min(batch, n_perm - done)
+        for done in range(0, n_perm, len(perms)):
+            k = min(len(perms), n_perm - done)
             for b in range(k):
                 perms[b] = col_rng.permutation(m)
-            count += int(np.count_nonzero(losses(pos, rest, k) <= base))
+            count += int(np.count_nonzero(losses(pos, perms[:k]) <= base))
         p_values[pos] = (1 + count) / (n_perm + 1)
     return p_values

@@ -58,6 +58,22 @@ class TestCheckPlausibility:
             hits += check_plausibility(gd.data, CandidateSet(gd.true_pa), FunctionClass("additive"), cfg).plausible
         assert hits >= 8
 
+    def test_failed_verdict_keeps_the_error_message(self):
+        # both tables' failures are one error class each, with a message
+        # that says which case fired: the rank rule's collinear case on the
+        # copied-covariate table of test_regress.TestRankRule, and the Gamma
+        # variance lost to rounding on gen_benchmark3(1016, 310)
+        data = gen_benchmark1(903, 60).data
+        cols = data.covariates(CandidateSet((1, 2, 3, 4))).T
+        copied = analyze(table(data.y, *cols[:3], cols[0]), FunctionClass("additive"), DiscoveryConfig(seed=0))
+        gamma = analyze(gen_benchmark3(1016, 310).data, FunctionClass("cpcm", "gamma"), DiscoveryConfig(seed=16))
+        failed = {(v.candidate.members, v.reason, v.detail) for v in copied.verdicts + gamma.verdicts if v.reason}
+        assert ((1, 4), "RankDeficient", "centred covariates have numerical rank 1 < 2 (collinear covariates)") in failed
+        gamma_case = ((1, 2), "DegenerateTheta", "degenerate local Gamma moments: a variance within rounding of zero")
+        assert gamma_case in failed
+        assert all(v.detail is None for v in copied.verdicts + gamma.verdicts if v.reason is None)
+        assert "within rounding" not in result_to_json(gamma)  # the result file carries no message
+
     @pytest.mark.parametrize("label", ["linear", "cpcm:gaussian"])
     def test_one_record_per_candidate(self, label):
         """``check_plausibility`` and ``analyze`` return the same record, and

@@ -15,8 +15,15 @@ from scipy.stats import kstest
 from scipy.stats import t as student_t
 
 from cause_sieve import analyze, regress, seeding, stattests
-from cause_sieve.errors import BadParam, DomainViolation, RankDeficient, StatError
-from cause_sieve.model import CLASS_CODES, CandidateSet, DiscoveryConfig, FunctionClass, enumerate_candidates
+from cause_sieve.errors import BadParam, DegenerateTheta, DomainViolation, RankDeficient, StatError
+from cause_sieve.model import (
+    CLASS_CODES,
+    CandidateSet,
+    DiscoveryConfig,
+    FunctionClass,
+    enumerate_candidates,
+    validate_dataset,
+)
 from cause_sieve.regress import (
     MODELS,
     PENALTY_GRID,
@@ -269,7 +276,7 @@ class TestFitCpcm:
         model = MODELS[("cpcm", family)](x[:100], y[:100])
         for x_ev in (x[:100], x[100:]):
             factors = stattests.column_pieces(x_ev, model.x_train, stattests.gaussian_denoms(model.bandwidths))
-            expected = model._local_params(np.exp(factors.sum(axis=0)))
+            expected = model._params(model._weighted_sums(np.exp(factors.sum(axis=0))))
             np.testing.assert_array_equal(model.theta(x_ev), expected)
 
     def test_theta_holds_one_kernel_array(self):
@@ -325,6 +332,30 @@ class TestFitCpcm:
         cg = recover_noise(data, CandidateSet((1,)), cpcm("gaussian"), seed=1)
         np.testing.assert_array_equal(np.argsort(ls.eps), np.argsort(cg.eps))
 
+    def test_gamma_variance_within_rounding_is_degenerate(self):
+        # one permuted held-out point of set (1, 2) puts its kernel mass on
+        # one training row, so second - mu^2 is rounding: 0.0 from the
+        # rebuilt kernel, 8.9e-16 from the Gram sums.  Both are at most 16
+        # eps of the second moment, and the candidate fails either way
+        f_class = cpcm("gamma")
+        data = gen_benchmark3(1016, 310).data
+        with pytest.raises(DegenerateTheta, match="variance within rounding of zero"):
+            recover_noise(data, CandidateSet((1, 2)), f_class, seed=seeding.child_seed(16, f_class.code))
+
+    def test_significance_does_not_depend_on_the_kernel_set(self):
+        # OPENBLAS_CORETYPE=Haswell gives the child OpenBLAS's AVX2 GEMM and
+        # GEMV, which round the Gram sums and theta's sums otherwise; the
+        # p-values are counts and the verdicts do not move
+        probe = (
+            "import json, sys; sys.path.insert(0, 'tests'); import test_regress as t; "
+            "print(json.dumps(t.kernel_local_significance()))"
+        )
+        proc = run_python("-c", probe, env={"OPENBLAS_CORETYPE": "Haswell"}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        answers = kernel_local_significance()
+        assert answers["cpcm:gamma 1016/310 [1, 2]"] == ["DegenerateTheta", "DegenerateTheta"]
+        assert json.loads(proc.stdout) == answers
+
     def test_gamma_family_recovers_uniform_eps(self):
         passes = 0
         for seed in range(10):
@@ -335,6 +366,37 @@ class TestFitCpcm:
             rec = recover_noise(table(y, x), CandidateSet((1,)), cpcm("gamma"), seed=seed)
             passes += ad_uniform_test(rec.eps).p_value > 0.05
         assert passes >= 7
+
+
+def _rounded(data, decimals=1):
+    """The table with its covariates rounded, so that many rows tie."""
+    return validate_dataset(np.column_stack([data.y, np.round(data.values[:, 1:], decimals)]), data.names, data.names[0])
+
+
+def kernel_local_significance() -> dict:
+    """The significance p-values, or the error class, of ``recover_noise``
+    and the verdict reason of ``analyze`` for every candidate of the two
+    kernel-local families on three tables: ``gen_benchmark3(3, 120)``,
+    ``gen_benchmark3(1000, 300)`` with its covariates rounded to one
+    decimal, and ``gen_benchmark3(1016, 310)``, whose Gamma set (1, 2) has a
+    permuted point whose local variance is lost to rounding."""
+    tables = {
+        "3/120": (gen_benchmark3(3, 120).data, 7),
+        "1000/300 rounded": (_rounded(gen_benchmark3(1000, 300).data), 0),
+        "1016/310": (gen_benchmark3(1016, 310).data, 16),
+    }
+    answers = {}
+    for name, (data, seed) in tables.items():
+        for label in ("cpcm:pareto", "cpcm:gamma"):
+            f_class = FunctionClass.parse(label)
+            for v in analyze(data, f_class, DiscoveryConfig(seed=seed)).verdicts:
+                try:
+                    rec = recover_noise(data, v.candidate, f_class, seed=seeding.child_seed(seed, f_class.code))
+                    p = rec.significance_p.tolist()
+                except StatError as exc:
+                    p = type(exc).__name__
+                answers[f"{label} {name} {list(v.candidate.members)}"] = [p, v.reason]
+    return answers
 
 
 def rank_verdicts() -> dict:
@@ -640,11 +702,14 @@ def _spline_loss(model, refs, x, y):
 
 def _permuted_loss(model, x, y, pos, perm):
     """The held-out loss with column ``pos`` of ``x`` reordered by ``perm``,
-    summed from the model's permutation pieces as perm_significance sums
-    them, scored as a batch of one."""
-    pieces, transform, score = model.permutation_pieces(x, y)
-    rest = sum(pieces[j] for j in range(len(pieces)) if j != pos)
-    return score(transform((pieces[pos][perm] + rest)[None]), pos, perm[None])[0]
+    from the model's ``permutation_losses`` as perm_significance reads them,
+    scored as a batch of one."""
+    return model.permutation_losses(x, y)(pos, perm[None])[0]
+
+
+def _kernel_nll(model, w, y):
+    """A kernel-local model's held-out loss under the kernel weights ``w``."""
+    return model.nll(model._params(model._weighted_sums(w)), y)
 
 
 def _baseline(model, x, y):
@@ -739,47 +804,62 @@ class TestPermutationEvaluator:
         for pos in range(d):
             for _ in range(3):
                 perm = rng.permutation(100)
-                want = model.nll(gaussian_kernel(_permuted(xt, pos, perm), model.x_train, model.bandwidths), yt)
+                want = _kernel_nll(model, gaussian_kernel(_permuted(xt, pos, perm), model.x_train, model.bandwidths), yt)
                 assert _permuted_loss(model, xt, yt, pos, perm) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class _RecordingRefit:
     """A refit for ``perm_significance`` that fits ``model_cls`` and records
-    the held-out rows, a copy of the pieces (a one-member call transforms
-    them in place), the shape of every stack transformed and every batch
-    scored."""
+    the held-out rows and every call of the model's ``losses``: its position,
+    permutations and losses.  For a spline it also records a copy of the
+    pieces (a one-member call transforms them in place) and the shape of
+    every stack transformed and every batch scored; for a kernel-local model,
+    the per-column log-kernels and the callable itself."""
 
     def __init__(self, model_cls):
-        self.model_cls, self.transformed, self.batches = model_cls, [], []
+        self.model_cls, self.calls, self.transformed, self.batches = model_cls, [], [], []
 
     def __call__(self, x, y):
         self.model = self.model_cls(x, y)
         return self
 
-    def permutation_pieces(self, x, y):
+    def permutation_losses(self, x, y):
         self.x, self.y = x, y
-        pieces, transform, score = self.model.permutation_pieces(x, y)
-        self.pieces = pieces.copy()
+        if isinstance(self.model, _KernelLocalModel):
+            denoms = stattests.gaussian_denoms(self.model.bandwidths)
+            self.pieces = stattests.column_pieces(x, self.model.x_train, denoms)
+            self.losses = self.model.permutation_losses(x, y)
+        else:
+            pieces, transform, score = self.model.permutation_pieces(x, y)
+            self.pieces = pieces.copy()
 
-        def recording_transform(stack):
-            self.transformed.append(stack.shape)
-            return transform(stack)
+            def recording_transform(stack):
+                self.transformed.append(stack.shape)
+                return transform(stack)
 
-        def recording_score(stack, pos, perms):
-            losses = score(stack, pos, perms)
-            self.batches.append((pos, perms.copy(), np.array(losses)))
+            def recording_score(stack, pos, perms):
+                losses = score(stack, pos, perms)
+                self.batches.append((pos, perms.copy(), np.array(losses)))
+                return losses
+
+            self.losses = stattests.piece_losses(pieces, recording_transform, recording_score)
+
+        def recording_losses(pos, perms):
+            losses = self.losses(pos, perms)
+            self.calls.append((pos, perms.copy(), np.array(losses)))
             return losses
 
-        return pieces, recording_transform, recording_score
+        return recording_losses
 
 
 def _one_at_a_time(model, pieces, x, y, pos, perm):
     """The held-out loss of one permutation as it was computed before the
     losses were batched: one sum, ``_thin_plate`` with its 1/2 and floor,
-    and one product per block of the spline coefficients."""
+    and one product per block of the spline coefficients; for a kernel-local
+    model, the kernel rebuilt as exp of the summed log-kernels."""
     r2 = pieces[pos][perm] + sum(pieces[j] for j in range(len(pieces)) if j != pos)
     if isinstance(model, _KernelLocalModel):
-        return model.nll(np.exp(r2), y)
+        return _kernel_nll(model, np.exp(r2), y)
     kernel = regress._thin_plate(r2)
     xn = x / model.x_scale
     coeffs = np.column_stack([s.coeffs for s in model.splines])
@@ -788,46 +868,83 @@ def _one_at_a_time(model, pieces, x, y, pos, perm):
     return model.prediction_loss(values, y)
 
 
+def _recorded_significance(model_cls, d):
+    """perm_significance of ``model_cls`` on the 194-row untied and tied
+    tables of ``d`` covariates, with its recording refit, n_perm and p."""
+    n = 194
+    for tied in (False, True):
+        n_perm = (50, 99, 100)[(d + tied) % 3]
+        rng = seeding.substream(d + 10 * tied, 912)
+        x = rng.standard_normal((n, d))
+        if tied:  # every row twice, so held-out rows sit on training rows
+            x[n // 2 :] = x[: n // 2]
+        if model_cls is _ParetoLocalModel:
+            y = (1.0 - rng.random(n)) ** (-1.0 / (2.0 + np.tanh(x[:, 0])))
+        elif model_cls is _GammaLocalModel:
+            y = rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5)
+        else:
+            y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, -1] ** 2) * rng.standard_normal(n)
+        refit = _RecordingRefit(model_cls)
+        s = CandidateSet(tuple(range(1, d + 1)))
+        p = stattests.perm_significance(table(y, *x.T), s, refit, n_perm=n_perm, seed=d)
+        yield tied, refit, n_perm, p
+
+
+def _counts_match(refit, d, n_perm, p, scored):
+    """Assert that the p-values are the counts of the one-at-a-time losses of
+    the permutations ``scored`` (pos, perms, losses), and return those
+    losses."""
+    want = [
+        _one_at_a_time(refit.model, refit.pieces, refit.x, refit.y, pos, perm) for pos, perms, _ in scored for perm in perms
+    ]
+    counts = (np.reshape(want[1:], (d, n_perm)) <= want[0]).sum(axis=1)
+    np.testing.assert_array_equal(p, (1 + counts) / (n_perm + 1))
+    return want
+
+
 class TestBatchedPermutedLosses:
-    """perm_significance scores its permutations in batches; every batched
-    loss is the float the one-at-a-time loss gives."""
+    """perm_significance passes each model's ``losses`` its permutations
+    ``_PERMS_PER_CALL`` at a time.  A spline scores them in batches, and every
+    batched loss is the float the one-at-a-time loss gives; a kernel-local
+    model gathers them from Gram matrices, each loss is the float it gives
+    alone, and the p-values are the counts of the rebuilt kernels' losses."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("model_cls", _SPLINES + list(_KERNEL_LOCAL.values()), ids=lambda cls: cls.__name__)
     def test_batches_equal_one_at_a_time(self, model_cls, d):
+        for tied, refit, n_perm, p in _recorded_significance(model_cls, d):
+            calls = [perms.shape[0] for _, perms, _ in refit.calls]
+            assert calls[0] == 1 and sum(calls) == 1 + d * n_perm
+            assert max(calls) == min(n_perm, stattests._PERMS_PER_CALL)
+            if model_cls in _SPLINES:
+                self._spline_batches(refit, d, n_perm, p, tied, calls)
+            else:
+                self._kernel_local_calls(refit, d, n_perm, p)
+
+    @staticmethod
+    def _spline_batches(refit, d, n_perm, p, tied, calls):
         # 97 held-out rows: one product over a whole stack would round some
-        # rows differently from the product of their slice alone
-        n = 194
-        for tied in (False, True):
-            n_perm = (50, 99, 100)[(d + tied) % 3]
-            rng = seeding.substream(d + 10 * tied, 912)
-            x = rng.standard_normal((n, d))
-            if tied:  # every row twice, so held-out rows sit on training rows
-                x[n // 2 :] = x[: n // 2]
-            if model_cls is _ParetoLocalModel:
-                y = (1.0 - rng.random(n)) ** (-1.0 / (2.0 + np.tanh(x[:, 0])))
-            elif model_cls is _GammaLocalModel:
-                y = rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5)
-            else:
-                y = np.sin(x[:, 0]) + (1.0 + 0.5 * x[:, -1] ** 2) * rng.standard_normal(n)
-            refit = _RecordingRefit(model_cls)
-            s = CandidateSet(tuple(range(1, d + 1)))
-            p = stattests.perm_significance(table(y, *x.T), s, refit, n_perm=n_perm, seed=d)
-            if model_cls in _SPLINES:  # tied rows take the floor of r^2, the others skip it
-                assert all(np.min(piece) < np.finfo(float).tiny for piece in refit.pieces) == tied
-            sizes = [perms.shape[0] for _, perms, _ in refit.batches]
-            assert sum(sizes) == 1 + d * n_perm and max(sizes) > 1
-            assert n_perm % max(sizes) in sizes  # a short last batch
-            if d == 1:  # the piece is transformed once, each batch only gathered
-                assert refit.transformed == [refit.pieces.shape]
-            else:
-                assert [shape[0] for shape in refit.transformed] == sizes
-            got = np.concatenate([losses for _, _, losses in refit.batches])
-            want = [
-                _one_at_a_time(refit.model, refit.pieces, refit.x, refit.y, pos, perm)
-                for pos, perms, _ in refit.batches
-                for perm in perms
-            ]
-            assert np.array_equal(got, want)
-            counts = (np.reshape(want[1:], (d, n_perm)) <= want[0]).sum(axis=1)
-            np.testing.assert_array_equal(p, (1 + counts) / (n_perm + 1))
+        # rows differently from the product of their slice alone.  Tied rows
+        # take the floor of r^2, the others skip it
+        assert all(np.min(piece) < np.finfo(float).tiny for piece in refit.pieces) == tied
+        sizes = [perms.shape[0] for _, perms, _ in refit.batches]
+        batch = stattests._BATCH_BYTES // refit.pieces[0].nbytes
+        assert sum(sizes) == sum(calls)
+        assert max(sizes) == batch > 1 and min(sizes[1:]) < batch  # a short last batch
+        if d == 1:  # the piece is transformed once, each batch only gathered
+            assert refit.transformed == [refit.pieces.shape]
+        else:
+            assert [shape[0] for shape in refit.transformed] == sizes
+        got = np.concatenate([losses for _, _, losses in refit.batches])
+        assert np.array_equal(got, _counts_match(refit, d, n_perm, p, refit.batches))
+        assert np.array_equal(got, np.concatenate([losses for _, _, losses in refit.calls]))
+
+    @staticmethod
+    def _kernel_local_calls(refit, d, n_perm, p):
+        for pos, perms, losses in refit.calls:
+            for b in range(len(perms)):
+                assert refit.losses(pos, perms[b : b + 1])[0] == losses[b]
+        # the losses themselves agree with the rebuilt kernels' only to the
+        # conditioning of the local Gamma variance, second - mu^2: about 1e-8
+        # relative at a point whose variance is 1e-8 of its second moment
+        _counts_match(refit, d, n_perm, p, refit.calls)

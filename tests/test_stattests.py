@@ -9,7 +9,7 @@ from scipy.special import gammaincc
 from cause_sieve import seeding, stattests
 from cause_sieve.errors import BadParam, ConstantInput, OutOfRange, TooFewRows
 from cause_sieve.model import CandidateSet
-from cause_sieve.regress import _MeanSmoother, _thin_plate
+from cause_sieve.regress import _GammaLocalModel, _MeanSmoother, _thin_plate
 from cause_sieve.stattests import (
     _hsic_test,
     _median_bandwidth,
@@ -486,6 +486,31 @@ class TestPermSignificance:
             finally:
                 tracemalloc.stop()
         assert peaks[50] < (d + 1 + 2 * batch + 2) * slice_bytes, peaks
+        assert peaks[200] <= peaks[50] + 64 * 1024, peaks
+
+    def test_kernel_local_memory_is_kernels_grams_and_one_call(self):
+        # the arrays alive at once: the d exponentiated log-kernels (m, P),
+        # the (m, m) Gram matrices of 1, y and y^2, one row block of the
+        # other columns' product, and one call's gathered sums with their
+        # temporaries, about a dozen (B, m) arrays; no (B, m, P) stack, and
+        # none of them grows with n_perm
+        n, d = 1000, 3
+        m = n - n // 2
+        rng = seeding.substream(d, 802)
+        x = rng.standard_normal((n, d))
+        data = table(rng.gamma(2.0 + np.tanh(x[:, 0]) ** 2, 1.5), *x.T)
+        kernels = (d + 3) * m * (n // 2) * 8
+        block = stattests._scratch_block(m, n // 2).nbytes
+        call = 12 * stattests._PERMS_PER_CALL * m * 8
+        peaks = {}
+        for n_perm in (50, 200):
+            tracemalloc.start()
+            try:
+                perm_significance(data, CandidateSet((1, 2, 3)), _GammaLocalModel, n_perm=n_perm, seed=0)
+                peaks[n_perm] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[50] < kernels + block + call, peaks
         assert peaks[200] <= peaks[50] + 64 * 1024, peaks
 
     def test_strong_and_null_covariates(self):
